@@ -31,6 +31,7 @@ from .operators import (
     bloch_vectors,
     collective_moment,
     complete_frame,
+    dicke_moments,
     mean_spin_direction,
     su2_to_so3,
     total_spin_expectation,

@@ -181,10 +181,7 @@ def _cmd_sweep(args):
     lines = ["parameter,xi1,xi2,xi1_tilde,xi2_tilde,concurrence,invariant_i"]
     lines += [",".join(_fmt_cell(cell) for cell in row) for row in rows]
     text = "\n".join(lines) + "\n"
-    try:
-        _write_text(args.output, text)
-    except OSError as exc:
-        raise ValidationError(f"cannot write {args.output!r}: {exc}") from exc
+    _write_text(args.output, text)
     return 0
 
 
@@ -233,6 +230,12 @@ def main(argv=None):
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # _cmd_analyze turns a failed read of its input into a ValidationError,
+        # so what fails here is writing an output file, a directory or stdout
+        target = "standard output" if exc.filename is None else repr(exc.filename)
+        print(f"error: cannot write {target}: {exc}", file=sys.stderr)
         return 2
 
 

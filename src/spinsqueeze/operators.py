@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeanSpinZeroError, ValidationError
-from .states import DensityMatrix, PureState, SymmetricState
+from .states import DensityMatrix, PureState, SymmetricState, _once_per_state
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -183,8 +183,14 @@ def bloch_expectations(state, qubit_index):
 
 
 def bloch_vectors(state):
-    """All N Bloch vectors as an (N, 3) array."""
-    return np.stack([bloch_expectations(state, q) for q in range(1, state.num_qubits + 1)])
+    """All N Bloch vectors as a read-only (N, 3) array, computed once per state."""
+    def compute():
+        svecs = np.stack([
+            bloch_expectations(state, q) for q in range(1, state.num_qubits + 1)])
+        svecs.setflags(write=False)
+        return svecs
+
+    return _once_per_state(state, "bloch_vectors", compute)
 
 
 def dicke_collective_operators(num_qubits):
@@ -199,12 +205,31 @@ def dicke_collective_operators(num_qubits):
     return jx, jy, jz
 
 
+def dicke_moments(state):
+    """First and second collective moments of a SymmetricState, computed once per state.
+
+    Returns read-only arrays (mean, second) with mean_a = Re<d, J_a d> and
+    second_ab = Re<J_a d, J_b d> for the Dicke amplitudes d.
+    """
+    if not isinstance(state, SymmetricState):
+        raise ValidationError(f"dicke_moments needs a SymmetricState, got {type(state).__name__}")
+
+    def compute():
+        d = state.dicke_amplitudes
+        applied = [op @ d for op in dicke_collective_operators(state.num_qubits)]
+        mean = np.array([np.vdot(d, a).real for a in applied])
+        second = np.array([[np.vdot(a, b).real for b in applied] for a in applied])
+        mean.setflags(write=False)
+        second.setflags(write=False)
+        return mean, second
+
+    return _once_per_state(state, "dicke_moments", compute)
+
+
 def total_spin_expectation(state):
     """<J> = (1/2) sum_i <sigma_i> as a real 3-vector."""
     if isinstance(state, SymmetricState):
-        jx, jy, jz = dicke_collective_operators(state.num_qubits)
-        d = state.dicke_amplitudes
-        return np.array([np.vdot(d, op @ d).real for op in (jx, jy, jz)])
+        return dicke_moments(state)[0].copy()
     return 0.5 * bloch_vectors(state).sum(axis=0)
 
 

@@ -6,8 +6,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ValidationError
-from .operators import PAULIS, dicke_collective_operators
-from .states import DensityMatrix, PureState, SymmetricState
+from .operators import PAULIS, dicke_moments
+from .states import DensityMatrix, PureState, SymmetricState, _once_per_state
 
 ENTRY_TOL = 1e-10
 SYMMETRY_TOL = 1e-8
@@ -130,24 +130,28 @@ def collective_to_pair_correlations(state):
     n = state.num_qubits
     if n < 2:
         raise ValidationError("pair correlations need at least 2 qubits")
-    ops = dicke_collective_operators(n)
-    d = state.dicke_amplitudes
-    applied = [op @ d for op in ops]
+    second = dicke_moments(state)[1]
     t = np.empty((3, 3))
     for a in range(3):
         for b in range(3):
-            anticomm = 2 * np.vdot(applied[a], applied[b]).real
+            anticomm = 2 * second[a, b]
             t[a, b] = (2 * anticomm - (n if a == b else 0)) / (n * (n - 1))
     return CorrelationMatrix(np.clip(t, -1.0 - ENTRY_TOL, 1.0 + ENTRY_TOL))
 
 
 def is_exchange_symmetric(state, tol=SYMMETRY_TOL):
-    """Operational symmetry test: all pair reductions equal and swap-invariant."""
-    if isinstance(state, SymmetricState):
+    """Operational symmetry test: all pair reductions equal and swap-invariant.
+
+    The verdict for each tolerance is computed once per state.
+    """
+    if isinstance(state, SymmetricState) or state.num_qubits < 2:
         return True
+    return _once_per_state(
+        state, ("exchange_symmetric", tol), lambda: _pair_reductions_agree(state, tol))
+
+
+def _pair_reductions_agree(state, tol):
     n = state.num_qubits
-    if n < 2:
-        return True
     first = reduce(state, [1, 2]).matrix
     if np.max(np.abs(SWAP_2 @ first @ SWAP_2 - first)) > tol:
         return False

@@ -34,7 +34,7 @@ from .operators import (
     bloch_expectations,
     bloch_vectors,
     complete_frame,
-    dicke_collective_operators,
+    dicke_moments,
     total_spin_expectation,
 )
 from .reductions import (
@@ -128,12 +128,7 @@ def _collective_covariance(state):
     """(mean J vector, 3x3 covariance of J components, N)."""
     n = state.num_qubits
     if isinstance(state, SymmetricState):
-        ops = dicke_collective_operators(n)
-        d = state.dicke_amplitudes
-        applied = [op @ d for op in ops]
-        mean = np.array([np.vdot(d, a).real for a in applied])
-        second = np.array([[np.vdot(applied[a], applied[b]).real for b in range(3)]
-                           for a in range(3)])
+        mean, second = dicke_moments(state)
         second = (second + second.T) / 2
         return mean, second - np.outer(mean, mean), n
     mean = total_spin_expectation(state)

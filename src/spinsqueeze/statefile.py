@@ -24,6 +24,9 @@ from .states import DensityMatrix, MixtureTerm, PureState, SymmetricState, mix
 
 FORMAT_VERSION = "1"
 KINDS = ("pure", "density", "symmetric", "mixture")
+# json.loads gives exactly int or float for a number; the types are compared
+# exactly because JSON true and false load as bool, a subclass of int.
+JSON_NUMBER_TYPES = (int, float)
 
 
 def _fmt_float(x):
@@ -112,7 +115,8 @@ def _field(doc, name, kind=None):
 
 def _parse_complex(value, field_name):
     if (not isinstance(value, list) or len(value) != 2
-            or not all(isinstance(x, (int, float)) for x in value)):
+            or type(value[0]) not in JSON_NUMBER_TYPES
+            or type(value[1]) not in JSON_NUMBER_TYPES):
         raise ValidationError(f"field {field_name!r} must contain [re, im] pairs")
     return complex(value[0], value[1])
 
@@ -146,7 +150,7 @@ def document_to_state(doc):
     if kind not in KINDS:
         raise ValidationError(f"unknown kind {kind!r} (expected one of {KINDS})")
     n = _field(doc, "num_qubits")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValidationError("field 'num_qubits' must be a positive integer")
     if kind == "pure":
         amps = _parse_complex_vector(_field(doc, "amplitudes", kind), "amplitudes")
@@ -166,7 +170,7 @@ def document_to_state(doc):
         if not isinstance(raw, dict):
             raise ValidationError(f"term {idx} must be an object")
         weight = _field(raw, "weight")
-        if not isinstance(weight, (int, float)):
+        if type(weight) not in JSON_NUMBER_TYPES:
             raise ValidationError(f"term {idx} field 'weight' must be a number")
         factors = _field(raw, "factors")
         if not isinstance(factors, list) or len(factors) != n:

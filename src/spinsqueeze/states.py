@@ -34,6 +34,23 @@ def _frozen_array(obj, name, value, dtype=complex):
     return arr
 
 
+def _once_per_state(state, key, compute):
+    """compute(), run on the first call for `state` and `key` and kept on it.
+
+    The value lives in a dict attribute of the (frozen) instance, so it dies
+    with the state and is never shared between states.  States cannot change
+    after validation, so a kept value never goes stale.  Arrays in the value
+    must be read-only, since every caller gets the same objects.
+    """
+    kept = state.__dict__.get("_kept")
+    if kept is None:
+        kept = {}
+        object.__setattr__(state, "_kept", kept)
+    if key not in kept:
+        kept[key] = compute()
+    return kept[key]
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized amplitude vector over the 2^N computational basis."""

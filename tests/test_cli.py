@@ -92,6 +92,28 @@ def test_analyze_malformed_file_exits_2(tmp_path, capsys):
     assert run_cli("analyze", str(missing)) == 2
 
 
+def test_analyze_rejects_json_booleans_as_numbers(tmp_path, capsys):
+    bad = tmp_path / "bool.json"
+    bad.write_text('{"format_version": "1", "kind": "pure", "num_qubits": true, '
+                   '"amplitudes": [[true, false], [0, 0]]}')
+    assert run_cli("analyze", str(bad)) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_generate_to_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert run_cli("generate", "css", "--n", "3", "--output", str(target)) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {str(target)!r}")
+
+
+def test_analyze_to_missing_directory_exits_2(tmp_path, capsys):
+    state = tmp_path / "css.json"
+    assert run_cli("generate", "css", "--n", "8", "--theta", "0.5", "--output", str(state)) == 0
+    target = tmp_path / "missing" / "x"
+    assert run_cli("analyze", str(state), "--output", str(target)) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {str(target)!r}")
+
+
 def test_analyze_is_deterministic_modulo_timestamp(tmp_path, capsys):
     out = tmp_path / "tw.json"
     run_cli("generate", "twisted", "--n", "6", "--mu", "0.3", "--output", str(out))
@@ -156,6 +178,13 @@ def test_sweep_twisted_shows_squeezing(tmp_path):
     _, rows = read_csv(out)
     xi1 = [float(r[1]) for r in rows]
     assert min(xi1) < 0.9
+
+
+def test_sweep_to_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    assert run_cli("sweep", "schmidt", "--start", "0", "--stop", "0.5", "--points", "3",
+                   "--output", str(target)) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {str(target)!r}")
 
 
 def test_sweep_uses_lf_and_dot_decimal(tmp_path):

@@ -71,6 +71,19 @@ def test_errors_name_the_offending_field():
                            "amplitudes": [[1.0, 0.0], ["x", 0.0]]})
 
 
+def test_json_booleans_are_not_numbers():
+    with pytest.raises(ValidationError, match="num_qubits"):
+        document_to_state({"format_version": "1", "kind": "pure", "num_qubits": True,
+                           "amplitudes": [[1.0, 0.0], [0.0, 0.0]]})
+    with pytest.raises(ValidationError, match="amplitudes"):
+        document_to_state({"format_version": "1", "kind": "pure", "num_qubits": 1,
+                           "amplitudes": [[True, False], [0, 0]]})
+    doc = state_to_document(random_separable_terms(2, 1, seed=3))
+    doc["terms"][0]["weight"] = True
+    with pytest.raises(ValidationError, match="weight"):
+        document_to_state(doc)
+
+
 def test_deserialization_revalidates_invariants():
     doc = {"format_version": "1", "kind": "pure", "num_qubits": 1,
            "amplitudes": [[1.0, 0.0], [1.0, 0.0]]}
