@@ -38,12 +38,12 @@ from .operators import (
     unit,
 )
 from .reductions import (
-    AggregateS,
     CorrelationMatrix,
-    aggregate_S,
     collective_to_pair_correlations,
     correlation_matrix,
     is_exchange_symmetric,
+    pair_correlation_sum,
+    pair_correlations,
     reduce,
 )
 from .squeezing import (

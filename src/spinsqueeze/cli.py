@@ -11,11 +11,11 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .entanglement import concurrence_pure, invariant_I
+from .entanglement import concurrence_pure, invariant_I, xi_tilde_result_for
 from .errors import ValidationError
 from .report import analyze_state, render_text
 from .reductions import is_exchange_symmetric
-from .squeezing import xi_standard, xi_tilde_general, xi_tilde_symmetric
+from .squeezing import xi_standard
 from .statefile import (
     document_to_state,
     dumps,
@@ -35,6 +35,8 @@ from .states import (
     random_separable_terms,
 )
 from .verification import SUITES, run_suite
+
+SWEEP_MAX_POINTS = 100_000
 
 
 def build_parser():
@@ -131,17 +133,10 @@ def _cmd_generate(args):
 
 
 def _cmd_analyze(args):
-    try:
-        with open(args.input, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {args.input!r}: {exc}") from exc
-    document = load_document(args.input)
-    parsed = document_to_state(document)
-    state = realize(parsed)
-    input_kind = document.get("kind")
+    document, raw = load_document(args.input)
+    state = realize(document_to_state(document))
     report = analyze_state(state, source_path=args.input, source_bytes=raw,
-                           input_kind=input_kind)
+                           input_kind=document.get("kind"))
     if args.format == "machine":
         _write_text(args.output, render_json(report) + "\n")
     else:
@@ -162,14 +157,15 @@ def _sweep_state(kind, value, args):
 
 
 def _cmd_sweep(args):
-    _require(args.points >= 1, "--points must be >= 1")
+    _require(1 <= args.points <= SWEEP_MAX_POINTS,
+             f"--points must be between 1 and {SWEEP_MAX_POINTS}")
     values = np.linspace(args.start, args.stop, args.points)
     rows = []
     for value in values:
         state = _sweep_state(args.kind, float(value), args)
         std = xi_standard(state)
         symmetric = state.num_qubits >= 2 and is_exchange_symmetric(state)
-        tilde = xi_tilde_symmetric(state) if symmetric else xi_tilde_general(state)
+        tilde = xi_tilde_result_for(state)
         conc = None
         if isinstance(state, PureState) and state.num_qubits == 2:
             conc = concurrence_pure(state)
@@ -232,7 +228,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        # _cmd_analyze turns a failed read of its input into a ValidationError,
+        # load_document turns a failed read of a state file into a ValidationError,
         # so what fails here is writing an output file, a directory or stdout
         target = "standard output" if exc.filename is None else repr(exc.filename)
         print(f"error: cannot write {target}: {exc}", file=sys.stderr)

@@ -22,10 +22,15 @@ from enum import Enum
 import numpy as np
 
 from .errors import QubitBlochZeroError, ValidationError
-from .operators import alignment_rotation_matrix, bloch_expectations
-from .reductions import correlation_matrix, is_exchange_symmetric
-from .squeezing import _symmetric_bloch_and_pair, xi_tilde_general, xi_tilde_symmetric
-from .states import PureState, SymmetricState
+from .operators import alignment_rotation_matrix
+from .reductions import is_exchange_symmetric
+from .squeezing import (
+    _eigen_2x2,
+    _symmetric_bloch_and_pair,
+    xi_tilde_general,
+    xi_tilde_symmetric,
+)
+from .states import PureState
 
 BLOCH_TOL = 1e-10
 WITNESS_TOL = 1e-9
@@ -117,19 +122,18 @@ def _aligned_perp_eigenvalues(s, t):
         rot = alignment_rotation_matrix(s)
     t_rot = rot @ t @ rot.T
     b = (t_rot[:2, :2] + t_rot[:2, :2].T) / 2
-    half_sum = 0.5 * (b[0, 0] + b[1, 1])
-    radius = 0.5 * math.hypot(b[0, 0] - b[1, 1], 2 * b[0, 1])
+    half_sum, radius = _eigen_2x2(b[0, 0], b[1, 1], b[0, 1])
     return s0, half_sum + radius, half_sum - radius
 
 
-def invariant_I(state, pair=(1, 2)):
+def invariant_I(state):
     """Pair invariant I = eps_ijk eps_lmn s_i s_l t_jm t_kn of a symmetric state.
 
     Computed two ways (direct double Levi-Civita contraction, and
     2 s0^2 t_plus t_minus in the aligned frame); the paths must agree within
     1e-9 or a ValidationError is raised.
     """
-    s, t = _bloch_and_pair(state, pair)
+    s, t = _bloch_and_pair(state)
     direct = float(np.einsum("ijk,lmn,i,l,jm,kn->",
                              LEVI_CIVITA, LEVI_CIVITA, s, s, t, t))
     s0, t_plus, t_minus = _aligned_perp_eigenvalues(s, t)
@@ -140,15 +144,9 @@ def invariant_I(state, pair=(1, 2)):
     return direct
 
 
-def _bloch_and_pair(state, pair=(1, 2)):
-    """Bloch vector and pair correlation matrix of a symmetric state."""
-    if isinstance(state, SymmetricState):
-        return _symmetric_bloch_and_pair(state)
-    if not is_exchange_symmetric(state):
-        raise ValidationError("state is not exchange-symmetric within tolerance")
-    i, j = pair
-    s = bloch_expectations(state, i)
-    t = correlation_matrix(state, i, j).entries
+def _bloch_and_pair(state):
+    """Bloch vector and symmetrized pair correlation matrix of a symmetric state."""
+    s, t = _symmetric_bloch_and_pair(state)
     return s, (t + t.T) / 2
 
 

@@ -39,22 +39,6 @@ class CorrelationMatrix:
         object.__setattr__(self, "entries", t)
 
 
-@dataclass(frozen=True)
-class AggregateS:
-    """Symmetrized sum of pair correlation matrices over all pairs i < j."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        s = np.array(self.entries, dtype=float)
-        if s.shape != (3, 3):
-            raise ValidationError(f"aggregate matrix must be 3x3, got {s.shape}")
-        if np.max(np.abs(s - s.T)) > 1e-12:
-            raise ValidationError("aggregate matrix must be symmetric")
-        s.setflags(write=False)
-        object.__setattr__(self, "entries", s)
-
-
 def reduce(state, subset):
     """Partial trace onto the given 1-based qubit subset (in subset order)."""
     n = state.num_qubits
@@ -97,25 +81,33 @@ def correlation_matrix(state, i, j):
     return CorrelationMatrix(np.clip(t, -1.0 - ENTRY_TOL, 1.0 + ENTRY_TOL))
 
 
+def pair_correlations(state):
+    """All pair correlation matrices of a qubit-resolved state, computed once per state.
+
+    Returns a read-only (N, N, 3, 3) array with table[i, j] = T^(i+1, j+1),
+    table[j, i] its transpose and a zero diagonal.
+    """
+    def compute():
+        n = state.num_qubits
+        table = np.zeros((n, n, 3, 3))
+        for i, j in combinations(range(n), 2):
+            t = correlation_matrix(state, i + 1, j + 1).entries
+            table[i, j] = t
+            table[j, i] = t.T
+        table.setflags(write=False)
+        return table
+
+    return _once_per_state(state, "pair_correlations", compute)
+
+
 def pair_correlation_sum(state):
     """Sum over ordered pairs i != j of T^(ij); symmetric by construction."""
-    n = state.num_qubits
+    table = pair_correlations(state)
     total = np.zeros((3, 3))
-    for i, j in combinations(range(1, n + 1), 2):
-        t = correlation_matrix(state, i, j).entries
+    for i, j in combinations(range(state.num_qubits), 2):
+        t = table[i, j]
         total += t + t.T
     return total
-
-
-def aggregate_S(state):
-    """Symmetrized sum of T^(ij) over pairs i < j.
-
-    Callers that need the common-orientation form must rotate the state first;
-    this function is a plain sum over the state as given.
-    """
-    if state.num_qubits < 2:
-        raise ValidationError("aggregate correlation needs at least 2 qubits")
-    return AggregateS(pair_correlation_sum(state) / 2)
 
 
 def collective_to_pair_correlations(state):

@@ -2,6 +2,7 @@
 
 import datetime
 import hashlib
+from itertools import combinations
 
 from ._version import __version__
 from .entanglement import concurrence_pure, verify_identity_imp1, witness
@@ -9,8 +10,8 @@ from .errors import QubitBlochZeroError
 from .operators import bloch_vectors, unit
 from .reductions import (
     collective_to_pair_correlations,
-    correlation_matrix,
     is_exchange_symmetric,
+    pair_correlations,
 )
 from .squeezing import (
     brute_force_min_variance,
@@ -134,18 +135,13 @@ def _pair_section(state, symmetric):
     if isinstance(state, SymmetricState):
         t = collective_to_pair_correlations(state).entries
         return [{"pair": "all", "matrix": [[float(x) for x in row] for row in t]}]
-    n = state.num_qubits
-    if n < 2:
-        return []
-    out = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            t = correlation_matrix(state, i, j).entries
-            out.append({"pair": [i, j],
-                        "matrix": [[float(x) for x in row] for row in t]})
-            if symmetric:
-                return out  # all pairs coincide
-    return out
+    table = pair_correlations(state)
+    pairs = list(combinations(range(state.num_qubits), 2))
+    if symmetric:
+        pairs = pairs[:1]  # all pairs coincide
+    return [{"pair": [i + 1, j + 1],
+             "matrix": [[float(x) for x in row] for row in table[i, j]]}
+            for i, j in pairs]
 
 
 def _oracle_section(state, general_result):

@@ -31,20 +31,18 @@ from .operators import (
     LocalUnitary,
     apply_local_unitaries,
     bloch_alignment_unitary,
-    bloch_expectations,
     bloch_vectors,
     complete_frame,
     dicke_moments,
     total_spin_expectation,
 )
 from .reductions import (
-    aggregate_S,
     collective_to_pair_correlations,
-    correlation_matrix,
     is_exchange_symmetric,
     pair_correlation_sum,
+    pair_correlations,
 )
-from .states import SymmetricState, embed_symmetric
+from .states import SymmetricState, _once_per_state, embed_symmetric
 
 MEAN_SPIN_TOL = 1e-10
 BLOCH_TOL = 1e-10
@@ -77,14 +75,20 @@ class SqueezingResult:
                 object.__setattr__(self, name, float(value))
 
 
+def _eigen_2x2(b11, b22, b12):
+    """(half_sum, radius): the eigenvalues of a symmetric 2x2 block are half_sum +- radius."""
+    half_sum = 0.5 * (b11 + b22)
+    radius = 0.5 * math.hypot(b11 - b22, 2 * b12)
+    return half_sum, radius
+
+
 def _min_quadratic_2x2(b11, b22, b12):
     """Minimum of the quadratic form of a symmetric 2x2 block over unit vectors.
 
     Returns (value, angle) with angle in [0, pi); degenerate minima report
     angle 0 by convention.
     """
-    half_sum = 0.5 * (b11 + b22)
-    radius = 0.5 * math.hypot(b11 - b22, 2 * b12)
+    half_sum, radius = _eigen_2x2(b11, b22, b12)
     value = half_sum - radius
     if radius < 1e-15:
         return value, 0.0
@@ -163,8 +167,8 @@ def _symmetric_bloch_and_pair(state):
     else:
         if not is_exchange_symmetric(state):
             raise ValidationError("state is not exchange-symmetric within tolerance")
-        s = bloch_expectations(state, 1)
-        t = correlation_matrix(state, 1, 2).entries
+        s = bloch_vectors(state)[0]
+        t = pair_correlations(state)[0, 1]
     return s, t
 
 
@@ -220,9 +224,7 @@ def xi_tilde_general(state):
         return SqueezingResult(
             xi1_tilde=1.0, xi2_tilde=1.0 / float(norms[0]), min_variance=0.25,
             optimal_angle=0.0, mean_J0=mean_j0)
-    rotation = LocalUnitary(tuple(bloch_alignment_unitary(s) for s in svecs))
-    rotated = apply_local_unitaries(state, rotation)
-    s_mat = aggregate_S(rotated).entries
+    s_mat = _once_per_state(state, "aligned_pair_sum", lambda: _aligned_pair_sum(state))
     value, angle = _min_quadratic_2x2(s_mat[0, 0], s_mat[1, 1], s_mat[0, 1])
     min_var = max(0.0, 0.25 * (n + 2 * value))
     xi1t = math.sqrt(max(0.0, 1.0 + (2.0 / n) * value))
@@ -232,16 +234,13 @@ def xi_tilde_general(state):
         optimal_angle=angle, mean_J0=mean_j0)
 
 
-def _pair_matrix_table(state):
-    """All pair correlation matrices as a dense (N, N, 3, 3) table."""
-    n = state.num_qubits
-    table = np.zeros((n, n, 3, 3))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            t = correlation_matrix(state, i, j).entries
-            table[i - 1, j - 1] = t
-            table[j - 1, i - 1] = t.T
-    return table
+def _aligned_pair_sum(state):
+    """Read-only S = (1/2) sum_{i != j} T^(ij) after rotating every Bloch vector to +z."""
+    rotation = LocalUnitary(
+        tuple(bloch_alignment_unitary(s) for s in bloch_vectors(state)))
+    s_mat = pair_correlation_sum(apply_local_unitaries(state, rotation)) / 2
+    s_mat.setflags(write=False)
+    return s_mat
 
 
 class _VarianceObjective:
@@ -253,7 +252,7 @@ class _VarianceObjective:
         basis = np.stack([
             np.stack([f.n_perp.components, f.n_perp_prime.components]) for f in frames])
         svecs = bloch_vectors(state)
-        table = _pair_matrix_table(state)
+        table = pair_correlations(state)
         self.num_qubits = n
         # per-qubit Bloch vector projected on its perpendicular plane
         self.s2 = np.einsum("qab,qb->qa", basis, svecs)

@@ -194,13 +194,22 @@ def save_state(path, state):
 
 
 def load_document(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.loads(fh.read())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"state file is not valid JSON: {exc}") from exc
+    """(parsed JSON document, raw bytes) of a state file, read once."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path!r}: {exc}") from exc
+    try:
+        return json.loads(raw.decode("utf-8")), raw
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"state file is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"state file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError("state file nests too deeply to parse") from exc
 
 
 def load_state(path):
     """Read, parse and validate a state file; mixtures come back as term lists."""
-    return document_to_state(load_document(path))
+    return document_to_state(load_document(path)[0])

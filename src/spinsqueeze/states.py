@@ -70,7 +70,7 @@ class PureState:
             raise ValidationError(
                 f"expected {2**n} amplitudes for {n} qubits, got shape {amps.shape}")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValidationError(f"state norm {norm!r} differs from 1 by more than {NORM_TOL}")
 
     @property
@@ -96,10 +96,10 @@ class DensityMatrix:
         dim = 2**n
         if mat.shape != (dim, dim):
             raise ValidationError(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
+        if not np.max(np.abs(mat - mat.conj().T)) <= HERMITIAN_TOL:
             raise ValidationError("matrix is not Hermitian within tolerance")
         trace = np.trace(mat).real
-        if abs(trace - 1.0) > HERMITIAN_TOL:
+        if not abs(trace - 1.0) <= HERMITIAN_TOL:
             raise ValidationError(f"trace {trace!r} differs from 1 by more than {HERMITIAN_TOL}")
         if np.linalg.eigvalsh(mat).min() < -EIGENVALUE_TOL:
             raise ValidationError("matrix has an eigenvalue below the positivity tolerance")
@@ -131,7 +131,7 @@ class SymmetricState:
             raise ValidationError(
                 f"expected {n + 1} Dicke amplitudes for {n} qubits, got shape {amps.shape}")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValidationError(f"state norm {norm!r} differs from 1 by more than {NORM_TOL}")
 
 
@@ -152,9 +152,9 @@ class MixtureTerm:
             mat = np.array(f, dtype=complex)
             if mat.shape != (2, 2):
                 raise ValidationError(f"factor {idx} is not a 2x2 matrix")
-            if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
+            if not np.max(np.abs(mat - mat.conj().T)) <= HERMITIAN_TOL:
                 raise ValidationError(f"factor {idx} is not Hermitian")
-            if abs(np.trace(mat).real - 1.0) > HERMITIAN_TOL:
+            if not abs(np.trace(mat).real - 1.0) <= HERMITIAN_TOL:
                 raise ValidationError(f"factor {idx} does not have unit trace")
             if np.linalg.eigvalsh(mat).min() < -EIGENVALUE_TOL:
                 raise ValidationError(f"factor {idx} is not positive semidefinite")

@@ -1,8 +1,9 @@
+import hashlib
 import json
 import math
 import re
 
-from spinsqueeze.cli import main
+from spinsqueeze.cli import SWEEP_MAX_POINTS, main
 
 
 def run_cli(*argv):
@@ -100,6 +101,36 @@ def test_analyze_rejects_json_booleans_as_numbers(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_analyze_rejects_non_utf8_file(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"format_version": "1", "kind": "pure\xe9"}')
+    assert run_cli("analyze", str(bad)) == 2
+    assert capsys.readouterr().err.startswith("error: state file is not UTF-8")
+
+
+def test_analyze_rejects_deeply_nested_file(tmp_path, capsys):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000)
+    assert run_cli("analyze", str(bad)) == 2
+    assert capsys.readouterr().err.startswith("error: state file nests too deeply")
+
+
+def test_analyze_rejects_nan_amplitude(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"format_version": "1", "kind": "pure", "num_qubits": 1, '
+                   '"amplitudes": [[NaN, 0], [0, 0]]}')
+    assert run_cli("analyze", str(bad)) == 2
+    assert capsys.readouterr().err.startswith("error: state norm")
+
+
+def test_analyze_reports_the_digest_of_the_bytes_it_parsed(tmp_path, capsys):
+    state = tmp_path / "css.json"
+    assert run_cli("generate", "css", "--n", "3", "--output", str(state)) == 0
+    assert run_cli("analyze", str(state), "--format", "machine") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["input"]["sha256"] == hashlib.sha256(state.read_bytes()).hexdigest()
+
+
 def test_generate_to_missing_directory_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     assert run_cli("generate", "css", "--n", "3", "--output", str(target)) == 2
@@ -185,6 +216,18 @@ def test_sweep_to_missing_directory_exits_2(tmp_path, capsys):
     assert run_cli("sweep", "schmidt", "--start", "0", "--stop", "0.5", "--points", "3",
                    "--output", str(target)) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {str(target)!r}")
+
+
+def test_sweep_rejects_nan_parameter(capsys):
+    assert run_cli("sweep", "schmidt", "--start", "0", "--stop", "nan", "--points", "2") == 2
+    assert capsys.readouterr().err.startswith("error: state norm")
+
+
+def test_sweep_points_are_bounded(capsys):
+    # only a value the guard rejects: the unguarded allocation is never attempted
+    points = str(SWEEP_MAX_POINTS + 1)
+    assert run_cli("sweep", "schmidt", "--start", "0", "--stop", "1", "--points", points) == 2
+    assert capsys.readouterr().err.startswith("error: --points must be between 1 and")
 
 
 def test_sweep_uses_lf_and_dot_decimal(tmp_path):

@@ -1,4 +1,4 @@
-"""Moments, Bloch vectors and the symmetry verdict are computed once per state."""
+"""Moments, Bloch vectors, pair tables and the symmetry verdict are computed once per state."""
 
 import numpy as np
 import pytest
@@ -10,12 +10,15 @@ from spinsqueeze import (
     ValidationError,
     analyze_state,
     bloch_vectors,
+    correlation_matrix,
     dicke_moments,
     embed_symmetric,
+    is_exchange_symmetric,
     one_axis_twisted_state,
+    pair_correlations,
     random_separable_state,
 )
-from spinsqueeze import operators
+from spinsqueeze import operators, reductions, squeezing
 from spinsqueeze.cli import main
 from spinsqueeze.sampling import haar_pure_state
 
@@ -74,6 +77,58 @@ def test_stored_arrays_are_read_only():
     total = operators.total_spin_expectation(symmetric)
     total[0] = 5.0
     assert operators.total_spin_expectation(symmetric)[0] == mean[0]
+
+
+def test_pair_correlations_are_read_only_and_kept():
+    state = haar_pure_state(5, np.random.default_rng(3))
+    table = pair_correlations(state)
+    assert table.shape == (5, 5, 3, 3)
+    with pytest.raises(ValueError):
+        table[0, 1, 0, 0] = 0.0
+    assert pair_correlations(state) is table
+    for i in range(5):
+        assert not table[i, i].any()
+        for j in range(i + 1, 5):
+            assert np.array_equal(table[i, j], correlation_matrix(state, i + 1, j + 1).entries)
+            assert np.array_equal(table[j, i], table[i, j].T)
+
+
+def test_analyze_takes_each_pair_reduction_once(monkeypatch):
+    state = haar_pure_state(8, np.random.default_rng(5))
+    # the symmetry test's own reductions, counted on a copy
+    symmetry_calls = []
+    original_reduce = reductions.reduce
+
+    def reduce_on_copy(target, subset):
+        symmetry_calls.append(list(subset))
+        return original_reduce(target, subset)
+
+    monkeypatch.setattr(reductions, "reduce", reduce_on_copy)
+    assert not is_exchange_symmetric(_fresh_copy(state))
+
+    reduced = []
+    rotations = []
+    original_rotate = squeezing.apply_local_unitaries
+
+    def counting_reduce(target, subset):
+        reduced.append((target, list(subset)))
+        return original_reduce(target, subset)
+
+    def counting_rotate(target, local_unitary):
+        rotations.append(target)
+        return original_rotate(target, local_unitary)
+
+    monkeypatch.setattr(reductions, "reduce", counting_reduce)
+    monkeypatch.setattr(squeezing, "apply_local_unitaries", counting_rotate)
+    analyze_state(state)
+
+    assert len(rotations) == 1 and rotations[0] is state
+    on_state = [subset for target, subset in reduced if target is state]
+    copies = {id(target) for target, _ in reduced if target is not state}
+    on_copy = [subset for target, subset in reduced if target is not state]
+    assert len(on_state) == 28 + len(symmetry_calls)
+    assert len(copies) == 1 and len(on_copy) == 28
+    assert all(len(subset) == 2 for _, subset in reduced)
 
 
 def _fresh_copy(state):

@@ -5,7 +5,6 @@ import pytest
 
 from spinsqueeze import (
     ValidationError,
-    aggregate_S,
     apply_local_unitaries,
     bloch_expectations,
     coherent_spin_state,
@@ -15,6 +14,7 @@ from spinsqueeze import (
     embed_symmetric,
     is_exchange_symmetric,
     one_axis_twisted_state,
+    pair_correlation_sum,
     product_state,
     reduce,
     su2_to_so3,
@@ -128,7 +128,7 @@ def test_corotated_pair_scalar_is_invariant(rng):
 
 def test_aggregate_s_single_pair_schmidt():
     theta = 0.3
-    s = aggregate_S(schmidt_state(theta)).entries
+    s = pair_correlation_sum(schmidt_state(theta)) / 2
     c = math.sin(2 * theta)
     assert np.allclose(s, np.diag([c, -c, 1.0]), atol=1e-12)
 
@@ -137,7 +137,7 @@ def test_aggregate_s_symmetric_state_is_pair_multiple(rng):
     n = 5
     state = embed_symmetric(random_symmetric_pure(n, rng))
     t = correlation_matrix(state, 1, 2).entries
-    s = aggregate_S(state).entries
+    s = pair_correlation_sum(state) / 2
     assert np.allclose(s, n * (n - 1) / 2 * (t + t.T) / 2, atol=1e-10)
 
 
@@ -146,7 +146,7 @@ def test_aggregate_s_product_of_identical_spinors():
     spinor = np.array([math.cos(0.4), math.sin(0.4) * np.exp(0.3j)])
     psi = product_state([spinor] * n)
     s_vec = bloch_expectations(psi, 1)
-    s = aggregate_S(psi).entries
+    s = pair_correlation_sum(psi) / 2
     assert np.allclose(s, n * (n - 1) / 2 * np.outer(s_vec, s_vec), atol=1e-10)
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spinsqueeze import (
     CapacityError,
+    DensityMatrix,
     MixtureTerm,
     PureState,
     SymmetricState,
@@ -158,3 +159,16 @@ def test_random_separable_is_valid_density_matrix():
     rho = random_separable_state(3, 5, seed=11)
     assert abs(np.trace(rho.matrix).real - 1.0) < 1e-12
     assert np.linalg.eigvalsh(rho.matrix).min() > -1e-10
+
+
+def test_validators_reject_nan_entries():
+    bad = math.nan
+    with pytest.raises(ValidationError, match="norm"):
+        PureState(1, np.array([bad, 0.0]))
+    with pytest.raises(ValidationError, match="norm"):
+        SymmetricState(1, np.array([1.0, bad]))
+    with pytest.raises(ValidationError, match="Hermitian"):
+        DensityMatrix(1, np.array([[bad, 0.0], [0.0, 0.0]]))
+    with pytest.raises(ValidationError, match="Hermitian"):
+        MixtureTerm(1.0, (np.array([[bad, 0.0], [0.0, 0.0]]),))
+
