@@ -126,6 +126,7 @@ def _cmd_generate(args):
         state = product_state(factors)
     else:  # random-separable
         _require(args.n is not None, "--n is required for random-separable")
+        _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
         state = random_separable_terms(args.n, args.terms, args.seed)
     text = dumps(state_to_document(state))
     _write_text(args.output, text)
@@ -182,6 +183,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_verify(args):
+    _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
     result = run_suite(args.suite, args.seed)
     replay_dir = args.output or "."
     replay_paths = []

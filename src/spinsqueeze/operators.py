@@ -349,11 +349,10 @@ def rotation_matrix(axis, angle):
     return np.eye(3) + math.sin(angle) * k + (1 - math.cos(angle)) * (k @ k)
 
 
-def bloch_alignment_unitary(bloch):
-    """Minimal-angle SU(2) rotation taking a Bloch vector to +z.
+def _alignment_axis_angle(bloch):
+    """(axis, angle) of the minimal-angle rotation taking a Bloch vector to +z.
 
-    The rotation axis is normalize(s x z); a vector along -z is rotated
-    about x by pi.
+    The axis is s x z; -z is rotated about x by pi, and +z not at all (axis None).
     """
     s = np.asarray(bloch, dtype=float)
     norm = np.linalg.norm(s)
@@ -362,24 +361,19 @@ def bloch_alignment_unitary(bloch):
     v = s / norm
     cos_angle = float(np.clip(v @ Z_AXIS, -1.0, 1.0))
     if cos_angle > 1.0 - 1e-14:
-        return IDENTITY2.copy()
+        return None, 0.0
     if cos_angle < -1.0 + 1e-14:
-        return su2_rotation(np.array([1.0, 0.0, 0.0]), math.pi)
-    axis = np.cross(v, Z_AXIS)
-    return su2_rotation(axis, math.acos(cos_angle))
+        return np.array([1.0, 0.0, 0.0]), math.pi
+    return np.cross(v, Z_AXIS), math.acos(cos_angle)
+
+
+def bloch_alignment_unitary(bloch):
+    """Minimal-angle SU(2) rotation taking a Bloch vector to +z."""
+    axis, angle = _alignment_axis_angle(bloch)
+    return IDENTITY2.copy() if axis is None else su2_rotation(axis, angle)
 
 
 def alignment_rotation_matrix(bloch):
     """SO(3) counterpart of bloch_alignment_unitary."""
-    s = np.asarray(bloch, dtype=float)
-    norm = np.linalg.norm(s)
-    if norm == 0.0:
-        raise ValidationError("cannot align a zero Bloch vector")
-    v = s / norm
-    cos_angle = float(np.clip(v @ Z_AXIS, -1.0, 1.0))
-    if cos_angle > 1.0 - 1e-14:
-        return np.eye(3)
-    if cos_angle < -1.0 + 1e-14:
-        return rotation_matrix(np.array([1.0, 0.0, 0.0]), math.pi)
-    axis = np.cross(v, Z_AXIS)
-    return rotation_matrix(axis, math.acos(cos_angle))
+    axis, angle = _alignment_axis_angle(bloch)
+    return np.eye(3) if axis is None else rotation_matrix(axis, angle)

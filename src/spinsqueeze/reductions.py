@@ -6,21 +6,19 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ValidationError
-from .operators import PAULIS, dicke_moments
+from .operators import IDENTITY2, PAULIS, bloch_vectors, dicke_moments
 from .states import DensityMatrix, PureState, SymmetricState, _once_per_state
 
 ENTRY_TOL = 1e-10
 SYMMETRY_TOL = 1e-8
 
+# PAIR_BASIS[m, n] = P_m (x) P_n with P = (1, sigma_x, sigma_y, sigma_z); a
+# two-qubit reduction is (1/4) sum_mn R_mn P_m (x) P_n with R = [[1, s_j], [s_i, T]]
+_ONE_QUBIT_BASIS = (IDENTITY2, *PAULIS)
+PAIR_BASIS = np.stack(
+    [np.stack([np.kron(a, b) for b in _ONE_QUBIT_BASIS]) for a in _ONE_QUBIT_BASIS])
 # PAIR_PAULIS[a, b] = sigma_a (x) sigma_b, used to read T off a 4x4 reduction
-PAIR_PAULIS = np.stack(
-    [np.stack([np.kron(PAULIS[a], PAULIS[b]) for b in range(3)]) for a in range(3)])
-
-SWAP_2 = np.array(
-    [[1, 0, 0, 0],
-     [0, 0, 1, 0],
-     [0, 1, 0, 0],
-     [0, 0, 0, 1]], dtype=complex)
+PAIR_PAULIS = PAIR_BASIS[1:, 1:]
 
 
 @dataclass(frozen=True)
@@ -131,25 +129,27 @@ def collective_to_pair_correlations(state):
     return CorrelationMatrix(np.clip(t, -1.0 - ENTRY_TOL, 1.0 + ENTRY_TOL))
 
 
-def is_exchange_symmetric(state, tol=SYMMETRY_TOL):
+def is_exchange_symmetric(state):
     """Operational symmetry test: all pair reductions equal and swap-invariant.
 
-    The verdict for each tolerance is computed once per state.
+    The reductions are rebuilt from the moment layer; the verdict is kept on the state.
     """
     if isinstance(state, SymmetricState) or state.num_qubits < 2:
         return True
-    return _once_per_state(
-        state, ("exchange_symmetric", tol), lambda: _pair_reductions_agree(state, tol))
+    return _once_per_state(state, "exchange_symmetric", lambda: _pair_reductions_agree(state))
 
 
-def _pair_reductions_agree(state, tol):
-    n = state.num_qubits
-    first = reduce(state, [1, 2]).matrix
-    if np.max(np.abs(SWAP_2 @ first @ SWAP_2 - first)) > tol:
-        return False
-    for i, j in combinations(range(1, n + 1), 2):
-        if (i, j) == (1, 2):
-            continue
-        if np.max(np.abs(reduce(state, [i, j]).matrix - first)) > tol:
-            return False
-    return True
+def _pair_density(svecs, table, i, j):
+    """Reduced density matrix of 0-based qubits (i, j) from its first and second moments."""
+    r = np.block([[np.ones((1, 1)), svecs[j][None]], [svecs[i][:, None], table[i, j]]])
+    return 0.25 * np.einsum("mn,mnab->ab", r, PAIR_BASIS)
+
+
+def _pair_reductions_agree(state):
+    """The swapped first pair and every other pair equal the first pair within SYMMETRY_TOL."""
+    svecs = bloch_vectors(state)
+    table = pair_correlations(state)
+    first = _pair_density(svecs, table, 0, 1)
+    pairs = [(1, 0)] + list(combinations(range(state.num_qubits), 2))[1:]
+    return all(np.max(np.abs(_pair_density(svecs, table, i, j) - first)) <= SYMMETRY_TOL
+               for i, j in pairs)

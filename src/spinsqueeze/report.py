@@ -7,7 +7,7 @@ from itertools import combinations
 from ._version import __version__
 from .entanglement import concurrence_pure, verify_identity_imp1, witness
 from .errors import QubitBlochZeroError
-from .operators import bloch_vectors, unit
+from .operators import bloch_vectors
 from .reductions import (
     collective_to_pair_correlations,
     is_exchange_symmetric,
@@ -27,7 +27,6 @@ from .states import (
 )
 
 BRUTE_FORCE_MAX_QUBITS = 6
-BRUTE_FORCE_RESOLUTION = 128
 
 
 def _squeezing_dict(result):
@@ -154,17 +153,9 @@ def _oracle_section(state, general_result):
     if general_result.min_variance is None:
         return {"skipped": general_result.undefined_reason.value
                 if general_result.undefined_reason else "undefined"}
-    work = state
-    if isinstance(work, SymmetricState):
-        if work.num_qubits > BRUTE_FORCE_MAX_QUBITS:
-            return {"skipped": "state too large for the independent-angle search"}
-        from .states import embed_symmetric
-
-        work = embed_symmetric(work)
-    if work.num_qubits > BRUTE_FORCE_MAX_QUBITS:
+    if state.num_qubits > BRUTE_FORCE_MAX_QUBITS:
         return {"skipped": "state too large for the independent-angle search"}
-    frames = [unit(s) for s in bloch_vectors(work)]
-    independent = brute_force_min_variance(work, frames, BRUTE_FORCE_RESOLUTION)
+    independent = brute_force_min_variance(state)
     closed = general_result.min_variance
     return {
         "common_direction_min_variance": closed,

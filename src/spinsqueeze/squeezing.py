@@ -35,6 +35,7 @@ from .operators import (
     complete_frame,
     dicke_moments,
     total_spin_expectation,
+    unit,
 )
 from .reductions import (
     collective_to_pair_correlations,
@@ -46,7 +47,9 @@ from .states import SymmetricState, _once_per_state, embed_symmetric
 
 MEAN_SPIN_TOL = 1e-10
 BLOCH_TOL = 1e-10
-MIN_ANGULAR_RESOLUTION = 64
+SEARCH_RESOLUTION = 128  # grid angles per coordinate of the independent-angle search
+SEARCH_GRID = np.linspace(0.0, 2 * math.pi, SEARCH_RESOLUTION, endpoint=False)
+SEARCH_GRID.setflags(write=False)
 
 
 class UndefinedReason(Enum):
@@ -244,14 +247,14 @@ def _aligned_pair_sum(state):
 
 
 class _VarianceObjective:
-    """Var(J_perp) as a function of per-qubit perpendicular angles."""
+    """Var(J_perp) as a function of per-qubit angles perpendicular to each Bloch vector."""
 
-    def __init__(self, state, frames_n0):
+    def __init__(self, state):
         n = state.num_qubits
-        frames = [complete_frame(d) for d in frames_n0]
+        svecs = bloch_vectors(state)
+        frames = [complete_frame(unit(s)) for s in svecs]
         basis = np.stack([
             np.stack([f.n_perp.components, f.n_perp_prime.components]) for f in frames])
-        svecs = bloch_vectors(state)
         table = pair_correlations(state)
         self.num_qubits = n
         # per-qubit Bloch vector projected on its perpendicular plane
@@ -305,8 +308,8 @@ def _golden_refine(func, lo, hi, iterations=60):
     return (a + b) / 2
 
 
-def brute_force_min_variance(state, frames_n0, angular_resolution=256):
-    """Minimize Var(J_perp) over independent per-qubit perpendicular angles.
+def brute_force_min_variance(state):
+    """Minimize Var(J_perp) over per-qubit directions perpendicular to each Bloch vector.
 
     Runs coordinate descent (grid scan plus golden-section refinement per
     coordinate) from a deterministic set of starts and returns the best value
@@ -316,15 +319,8 @@ def brute_force_min_variance(state, frames_n0, angular_resolution=256):
     if isinstance(state, SymmetricState):
         state = embed_symmetric(state)
     n = state.num_qubits
-    if len(frames_n0) != n:
-        raise ValidationError(f"expected {n} frame directions, got {len(frames_n0)}")
-    resolution = int(angular_resolution)
-    if resolution < MIN_ANGULAR_RESOLUTION:
-        raise ValidationError(
-            f"angular_resolution must be >= {MIN_ANGULAR_RESOLUTION}")
-    objective = _VarianceObjective(state, frames_n0)
-    grid = np.linspace(0.0, 2 * math.pi, resolution, endpoint=False)
-    step = 2 * math.pi / resolution
+    objective = _VarianceObjective(state)
+    step = 2 * math.pi / SEARCH_RESOLUTION
 
     starts = [np.full(n, g) for g in np.linspace(0.0, 2 * math.pi, 8, endpoint=False)]
     rng = np.random.default_rng(0x5EED)
@@ -339,10 +335,10 @@ def brute_force_min_variance(state, frames_n0, angular_resolution=256):
             improved = False
             for q in range(n):
                 coeffs = objective.slice_coefficients(angles, q)
-                values = objective.slice_value(grid, coeffs)
+                values = objective.slice_value(SEARCH_GRID, coeffs)
                 idx = int(np.argmin(values))
-                lo = grid[idx] - step
-                hi = grid[idx] + step
+                lo = SEARCH_GRID[idx] - step
+                hi = SEARCH_GRID[idx] + step
                 psi = _golden_refine(lambda p: objective.slice_value(p, coeffs), lo, hi)
                 candidate = objective.slice_value(psi, coeffs)
                 if candidate < current - 1e-14:

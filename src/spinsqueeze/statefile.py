@@ -106,6 +106,11 @@ def dumps(document):
     return render_json(document) + "\n"
 
 
+def loads(text):
+    """Parse state-file text; "-0", which dumps writes for a negative zero, stays -0.0."""
+    return json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+
+
 def _field(doc, name, kind=None):
     if name not in doc:
         where = f" for kind {kind!r}" if kind else ""
@@ -201,7 +206,7 @@ def load_document(path):
     except OSError as exc:
         raise ValidationError(f"cannot read {path!r}: {exc}") from exc
     try:
-        return json.loads(raw.decode("utf-8")), raw
+        return loads(raw.decode("utf-8")), raw
     except UnicodeDecodeError as exc:
         raise ValidationError(f"state file is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:

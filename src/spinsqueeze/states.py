@@ -34,6 +34,19 @@ def _frozen_array(obj, name, value, dtype=complex):
     return arr
 
 
+def _require_hermitian(mat, what):
+    """Raise ValidationError unless `mat` is Hermitian; the message names a non-finite entry."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        if np.max(np.abs(mat - mat.conj().T)) <= HERMITIAN_TOL:
+            return
+    bad = np.argwhere(~np.isfinite(mat))
+    if bad.size:
+        row, col = bad[0]
+        raise ValidationError(f"{what} is not Hermitian: entry ({row}, {col}) "
+                              f"is {complex(mat[row, col])}, not finite")
+    raise ValidationError(f"{what} is not Hermitian within tolerance")
+
+
 def _once_per_state(state, key, compute):
     """compute(), run on the first call for `state` and `key` and kept on it.
 
@@ -69,7 +82,7 @@ class PureState:
         if amps.shape != (2**n,):
             raise ValidationError(
                 f"expected {2**n} amplitudes for {n} qubits, got shape {amps.shape}")
-        norm = np.linalg.norm(amps)
+        norm = float(np.linalg.norm(amps))
         if not abs(norm - 1.0) <= NORM_TOL:
             raise ValidationError(f"state norm {norm!r} differs from 1 by more than {NORM_TOL}")
 
@@ -96,9 +109,8 @@ class DensityMatrix:
         dim = 2**n
         if mat.shape != (dim, dim):
             raise ValidationError(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
-        if not np.max(np.abs(mat - mat.conj().T)) <= HERMITIAN_TOL:
-            raise ValidationError("matrix is not Hermitian within tolerance")
-        trace = np.trace(mat).real
+        _require_hermitian(mat, "matrix")
+        trace = float(np.trace(mat).real)
         if not abs(trace - 1.0) <= HERMITIAN_TOL:
             raise ValidationError(f"trace {trace!r} differs from 1 by more than {HERMITIAN_TOL}")
         if np.linalg.eigvalsh(mat).min() < -EIGENVALUE_TOL:
@@ -130,7 +142,7 @@ class SymmetricState:
         if amps.shape != (n + 1,):
             raise ValidationError(
                 f"expected {n + 1} Dicke amplitudes for {n} qubits, got shape {amps.shape}")
-        norm = np.linalg.norm(amps)
+        norm = float(np.linalg.norm(amps))
         if not abs(norm - 1.0) <= NORM_TOL:
             raise ValidationError(f"state norm {norm!r} differs from 1 by more than {NORM_TOL}")
 
@@ -152,8 +164,7 @@ class MixtureTerm:
             mat = np.array(f, dtype=complex)
             if mat.shape != (2, 2):
                 raise ValidationError(f"factor {idx} is not a 2x2 matrix")
-            if not np.max(np.abs(mat - mat.conj().T)) <= HERMITIAN_TOL:
-                raise ValidationError(f"factor {idx} is not Hermitian")
+            _require_hermitian(mat, f"factor {idx}")
             if not abs(np.trace(mat).real - 1.0) <= HERMITIAN_TOL:
                 raise ValidationError(f"factor {idx} does not have unit trace")
             if np.linalg.eigvalsh(mat).min() < -EIGENVALUE_TOL:

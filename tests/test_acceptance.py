@@ -260,8 +260,7 @@ def test_criterion_07b_brute_force_vs_symmetric_closed_form():
         _, cov = collective_moment(full, [frame] * n)
         grid = float(np.min(np.einsum("ka,ab,kb->k", dirs, cov, dirs)))
         worst_grid = max(worst_grid, abs(closed - grid))
-        frames = [unit(v) for v in bloch_vectors(full)]
-        independent = brute_force_min_variance(full, frames, 128)
+        independent = brute_force_min_variance(full)
         assert independent <= closed + 1e-9  # search only ever relaxes
         gap = abs(closed - independent)
         worst_gap = max(worst_gap, gap)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 
 from spinsqueeze.cli import SWEEP_MAX_POINTS, main
 
@@ -120,7 +121,28 @@ def test_analyze_rejects_nan_amplitude(tmp_path, capsys):
     bad.write_text('{"format_version": "1", "kind": "pure", "num_qubits": 1, '
                    '"amplitudes": [[NaN, 0], [0, 0]]}')
     assert run_cli("analyze", str(bad)) == 2
-    assert capsys.readouterr().err.startswith("error: state norm")
+    err = capsys.readouterr().err
+    assert err.startswith("error: state norm nan ")
+    assert "np.float64" not in err
+
+
+def test_analyze_rejects_infinite_density_entry(tmp_path, capsys):
+    bad = tmp_path / "inf.json"
+    bad.write_text('{"format_version": "1", "kind": "density", "num_qubits": 1, '
+                   '"matrix": [[[Infinity, 0], [0, 0]], [[0, 0], [0, 0]]]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's invalid-value warning would print first
+        assert run_cli("analyze", str(bad)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: matrix is not Hermitian: entry (0, 0) is (inf+0j), not finite")
+
+
+def test_generate_rejects_negative_seed(capsys):
+    assert run_cli("generate", "random-separable", "--n", "2", "--seed", "-5") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be >= 0, got -5\n"
 
 
 def test_analyze_reports_the_digest_of_the_bytes_it_parsed(tmp_path, capsys):
@@ -274,6 +296,13 @@ def test_verify_oracle_reports_search_gap(tmp_path, capsys):
     # the grid check itself passes; the gap is in the independent-angle search
     grid_line = [l for l in out.splitlines() if "grid" in l][0]
     assert "PASS" in grid_line
+
+
+def test_verify_rejects_negative_seed(capsys):
+    assert run_cli("verify", "identities", "--seed", "-1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be >= 0, got -1\n"
 
 
 def test_verify_machine_format(capsys):

@@ -93,21 +93,36 @@ def test_pair_correlations_are_read_only_and_kept():
             assert np.array_equal(table[j, i], table[i, j].T)
 
 
+@pytest.mark.parametrize("make, symmetric", [
+    (lambda: haar_pure_state(5, np.random.default_rng(7)), False),
+    (lambda: random_separable_state(4, 3, seed=2), False),
+    (lambda: embed_symmetric(one_axis_twisted_state(5, 0.4)), True),
+], ids=["haar5", "separable4", "embedded5"])
+def test_symmetry_verdict_reads_the_pair_table(make, symmetric, monkeypatch):
+    state = make()
+    n = state.num_qubits
+    svecs = bloch_vectors(state)
+    table = pair_correlations(state)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                rebuilt = reductions._pair_density(svecs, table, i, j)
+                direct = reductions.reduce(state, [i + 1, j + 1]).matrix
+                assert np.max(np.abs(rebuilt - direct)) < 1e-14
+
+    def no_reduction(target, subset):
+        raise AssertionError("the symmetry test took a partial trace")
+
+    monkeypatch.setattr(reductions, "reduce", no_reduction)
+    assert is_exchange_symmetric(state) is symmetric
+
+
 def test_analyze_takes_each_pair_reduction_once(monkeypatch):
+    # the symmetry test reads the pair table, so the state is reduced once per pair
     state = haar_pure_state(8, np.random.default_rng(5))
-    # the symmetry test's own reductions, counted on a copy
-    symmetry_calls = []
-    original_reduce = reductions.reduce
-
-    def reduce_on_copy(target, subset):
-        symmetry_calls.append(list(subset))
-        return original_reduce(target, subset)
-
-    monkeypatch.setattr(reductions, "reduce", reduce_on_copy)
-    assert not is_exchange_symmetric(_fresh_copy(state))
-
     reduced = []
     rotations = []
+    original_reduce = reductions.reduce
     original_rotate = squeezing.apply_local_unitaries
 
     def counting_reduce(target, subset):
@@ -126,7 +141,7 @@ def test_analyze_takes_each_pair_reduction_once(monkeypatch):
     on_state = [subset for target, subset in reduced if target is state]
     copies = {id(target) for target, _ in reduced if target is not state}
     on_copy = [subset for target, subset in reduced if target is not state]
-    assert len(on_state) == 28 + len(symmetry_calls)
+    assert len(on_state) == 28
     assert len(copies) == 1 and len(on_copy) == 28
     assert all(len(subset) == 2 for _, subset in reduced)
 

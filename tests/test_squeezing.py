@@ -8,7 +8,6 @@ from spinsqueeze import (
     UndefinedReason,
     ValidationError,
     apply_local_unitaries,
-    bloch_vectors,
     brute_force_min_variance,
     coherent_spin_state,
     dicke_state,
@@ -241,20 +240,17 @@ def test_single_term_separable_state_is_unsqueezed():
 def test_brute_force_schmidt_and_css_baselines():
     theta = math.pi / 8
     state = schmidt_state(theta)
-    frames = [unit(s) for s in bloch_vectors(state)]
-    value = brute_force_min_variance(state, frames, 128)
+    value = brute_force_min_variance(state)
     assert value == pytest.approx((1 - math.sin(2 * theta)) / 2, abs=1e-9)
 
     css = embed_symmetric(coherent_spin_state(4, 1.1, 0.2))
-    frames = [unit(s) for s in bloch_vectors(css)]
-    assert brute_force_min_variance(css, frames, 128) == pytest.approx(1.0, abs=1e-9)
+    assert brute_force_min_variance(css) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_brute_force_agrees_with_closed_form_for_two_qubit_pure(rng):
     for _ in range(10):
         state = pure_state_with_nonzero_bloch(2, rng)
-        frames = [unit(s) for s in bloch_vectors(state)]
-        value = brute_force_min_variance(state, frames, 128)
+        value = brute_force_min_variance(state)
         closed = xi_tilde_general(state).min_variance
         assert value == pytest.approx(closed, abs=1e-7)
 
@@ -266,8 +262,7 @@ def test_brute_force_never_exceeds_closed_form(rng):
             s = symmetric_state_with_nonzero_bloch(n, rng)
             closed = xi_tilde_symmetric(s).min_variance
             full = embed_symmetric(s)
-            frames = [unit(v) for v in bloch_vectors(full)]
-            value = brute_force_min_variance(full, frames, 128)
+            value = brute_force_min_variance(full)
             assert value <= closed + 1e-9
 
 
@@ -280,21 +275,12 @@ def test_brute_force_beats_closed_form_on_single_excitation_dicke():
     closed = xi_tilde_symmetric(w).min_variance
     assert closed == pytest.approx(7 / 4, abs=1e-12)
     full = embed_symmetric(w)
-    frames = [unit(v) for v in bloch_vectors(full)]
-    value = brute_force_min_variance(full, frames, 128)
+    value = brute_force_min_variance(full)
     assert value == pytest.approx(1 / 4, abs=1e-6)
-
-
-def test_brute_force_validates_resolution():
-    state = schmidt_state(0.3)
-    frames = [unit(s) for s in bloch_vectors(state)]
-    with pytest.raises(ValidationError):
-        brute_force_min_variance(state, frames, 32)
 
 
 def test_brute_force_is_deterministic(rng):
     state = pure_state_with_nonzero_bloch(3, rng)
-    frames = [unit(s) for s in bloch_vectors(state)]
-    a = brute_force_min_variance(state, frames, 128)
-    b = brute_force_min_variance(state, frames, 128)
+    a = brute_force_min_variance(state)
+    b = brute_force_min_variance(state)
     assert a == b

@@ -39,6 +39,16 @@ def test_round_trip_is_byte_identical_for_all_kinds(tmp_path, rng):
         assert first == second, f"kind {idx} round trip not byte-identical"
 
 
+def test_negative_zero_survives_a_file_round_trip(tmp_path):
+    state = PureState(1, np.array([complex(1.0, -0.0), complex(-0.0, 0.0)]))
+    path = tmp_path / "zeros.json"
+    save_state(str(path), state)
+    assert path.read_text().endswith('"amplitudes":[[1,-0],[-0,0]]}\n')
+    loaded = load_state(str(path))
+    assert np.signbit(loaded.amplitudes.imag[0]) and np.signbit(loaded.amplitudes.real[1])
+    assert roundtrip_text(loaded) == path.read_text()
+
+
 def test_save_and_load(tmp_path):
     path = tmp_path / "state.json"
     save_state(path, bell_state())
