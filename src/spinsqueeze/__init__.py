@@ -3,7 +3,6 @@
 from ._version import __version__
 from .errors import (
     CapacityError,
-    MeanSpinZeroError,
     QubitBlochZeroError,
     ValidationError,
 )
@@ -12,7 +11,6 @@ from .states import (
     MixtureTerm,
     PureState,
     SymmetricState,
-    allclose_up_to_global_phase,
     coherent_spin_state,
     dicke_state,
     embed_symmetric,
@@ -29,11 +27,8 @@ from .operators import (
     apply_local_unitaries,
     bloch_expectations,
     bloch_vectors,
-    collective_moment,
     complete_frame,
     dicke_moments,
-    mean_spin_direction,
-    su2_to_so3,
     total_spin_expectation,
     unit,
 )
@@ -64,7 +59,6 @@ from .entanglement import (
     schmidt,
     verify_identity_imp1,
     witness,
-    xi_from_concurrence,
 )
 from .report import analyze_state, render_text
 

@@ -95,20 +95,6 @@ def concurrence_pure(state):
     return float(min(1.0, 2.0 * abs(b * c - a * d)))
 
 
-def xi_from_concurrence(concurrence):
-    """(xi1_tilde, xi2_tilde) of a pure two-qubit state with concurrence C.
-
-    xi1_tilde = sqrt(1 - C) and xi2_tilde = 1 / sqrt(1 + C); the latter is the
-    form consistent with the Schmidt-coefficient expressions
-    sqrt(1 - 2 l1 l2) / |l1^2 - l2^2|.
-    """
-    c = float(concurrence)
-    if not -1e-12 <= c <= 1.0 + 1e-12:
-        raise ValidationError(f"concurrence {c!r} outside [0, 1]")
-    c = min(1.0, max(0.0, c))
-    return math.sqrt(1.0 - c), 1.0 / math.sqrt(1.0 + c)
-
-
 def _aligned_perp_eigenvalues(s, t):
     """(s0, t_plus, t_minus) after rotating the Bloch vector to +z.
 

@@ -9,9 +9,5 @@ class CapacityError(ValidationError):
     """A state exceeds the desk-scale size guard for its representation."""
 
 
-class MeanSpinZeroError(ValidationError):
-    """The collective mean spin vanishes, so no mean-spin frame exists."""
-
-
 class QubitBlochZeroError(ValidationError):
     """A qubit has a (numerically) zero Bloch vector, so no local frame exists."""

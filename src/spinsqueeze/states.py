@@ -320,16 +320,3 @@ def random_separable_terms(num_qubits, num_terms, seed):
 def random_separable_state(num_qubits, num_terms, seed):
     """Fully separable density matrix, reproducible from the seed."""
     return mix(random_separable_terms(num_qubits, num_terms, seed))
-
-
-def allclose_up_to_global_phase(a, b, atol=1e-10):
-    """True when two amplitude vectors agree modulo a global phase."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        return False
-    overlap = np.vdot(a, b)
-    if abs(overlap) < atol:
-        return bool(np.allclose(a, 0, atol=atol) and np.allclose(b, 0, atol=atol))
-    phase = overlap / abs(overlap)
-    return bool(np.allclose(a * phase, b, atol=atol))

@@ -28,7 +28,6 @@ from spinsqueeze import (
     bloch_vectors,
     brute_force_min_variance,
     coherent_spin_state,
-    collective_moment,
     collective_to_pair_correlations,
     complete_frame,
     concurrence_pure,
@@ -39,7 +38,6 @@ from spinsqueeze import (
     product_state,
     quadratic_form_min,
     random_separable_state,
-    su2_to_so3,
     total_spin_expectation,
     unit,
     verify_identity_imp1,
@@ -48,12 +46,7 @@ from spinsqueeze import (
     xi_tilde_symmetric,
 )
 from spinsqueeze.entanglement import _aligned_perp_eigenvalues, _bloch_and_pair
-from spinsqueeze.operators import (
-    SIGMA_X,
-    LocalUnitary,
-    alignment_rotation_matrix,
-    su2_rotation,
-)
+from spinsqueeze.operators import SIGMA_X, LocalUnitary, alignment_rotation_matrix
 from spinsqueeze.sampling import (
     haar_pure_state,
     pure_state_with_nonzero_bloch,
@@ -64,6 +57,7 @@ from spinsqueeze.sampling import (
 )
 
 from conftest import schmidt_state
+from oracles import collective_moment, su2_rotation, su2_to_so3
 
 
 def _report(label, ok, detail):

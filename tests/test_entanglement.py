@@ -18,7 +18,6 @@ from spinsqueeze import (
     schmidt,
     verify_identity_imp1,
     witness,
-    xi_from_concurrence,
     xi_tilde_general,
 )
 from spinsqueeze.sampling import (
@@ -82,21 +81,13 @@ def test_concurrence_of_product_states_vanishes(rng):
         assert concurrence_pure(psi) < 1e-12
 
 
-def test_xi_from_concurrence_endpoints():
-    assert xi_from_concurrence(0.0) == (1.0, 1.0)
-    x1, x2 = xi_from_concurrence(1.0)
-    assert x1 == 0.0
-    assert x2 == pytest.approx(1 / math.sqrt(2), abs=1e-15)
-
-
 def test_xi_from_concurrence_matches_schmidt_state():
     from spinsqueeze import xi_tilde_symmetric
 
     c = math.sin(math.pi / 4)
-    x1, x2 = xi_from_concurrence(c)
     r = xi_tilde_symmetric(schmidt_state(math.pi / 8))
-    assert x1 == pytest.approx(r.xi1_tilde, abs=1e-12)
-    assert x2 == pytest.approx(r.xi2_tilde, abs=1e-12)
+    assert math.sqrt(1 - c) == pytest.approx(r.xi1_tilde, abs=1e-12)
+    assert 1 / math.sqrt(1 + c) == pytest.approx(r.xi2_tilde, abs=1e-12)
 
 
 def test_concurrence_identities_on_haar_sample(rng):

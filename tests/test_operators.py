@@ -10,26 +10,23 @@ from spinsqueeze import (
     Direction,
     Frame,
     LocalUnitary,
-    MeanSpinZeroError,
     PureState,
     ValidationError,
     apply_local_unitaries,
     bloch_expectations,
     bloch_vectors,
     coherent_spin_state,
-    collective_moment,
     complete_frame,
     embed_symmetric,
-    mean_spin_direction,
     product_state,
-    su2_to_so3,
     total_spin_expectation,
     unit,
 )
-from spinsqueeze.operators import SIGMA_X, su2_rotation
+from spinsqueeze.operators import SIGMA_X
 from spinsqueeze.sampling import haar_pure_state, haar_unitary_2, random_local_unitary
 
 from conftest import bell_state, schmidt_state
+from oracles import collective_moment, su2_rotation, su2_to_so3
 
 
 def test_direction_requires_unit_norm():
@@ -153,25 +150,17 @@ def test_bloch_norms_invariant_under_local_unitaries(rng):
 
 def test_mean_spin_of_schmidt_state():
     theta = math.pi / 8
-    d = mean_spin_direction(schmidt_state(theta))
-    assert np.allclose(d.components, [0, 0, 1], atol=1e-12)
     j = total_spin_expectation(schmidt_state(theta))
+    assert np.allclose(unit(j).components, [0, 0, 1], atol=1e-12)
     assert abs(np.linalg.norm(j) - math.cos(2 * theta)) < 1e-12
-
-
-def test_mean_spin_zero_raises():
-    theta = 0.6
-    psi = PureState(2, np.array([0, math.cos(theta), math.sin(theta), 0]))
-    with pytest.raises(MeanSpinZeroError):
-        mean_spin_direction(psi)
 
 
 def test_mean_spin_of_section3_product_state():
     psi = product_state([np.array([math.sqrt(3) / 2, 0.5]),
                          np.array([math.sqrt(3) / 2, -0.5])])
-    d = mean_spin_direction(psi)
-    assert np.allclose(d.components, [0, 0, 1], atol=1e-12)
-    assert abs(np.linalg.norm(total_spin_expectation(psi)) - 0.5) < 1e-12
+    j = total_spin_expectation(psi)
+    assert np.allclose(unit(j).components, [0, 0, 1], atol=1e-12)
+    assert abs(np.linalg.norm(j) - 0.5) < 1e-12
 
 
 def test_complete_frame_z_convention():

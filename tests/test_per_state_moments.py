@@ -18,7 +18,7 @@ from spinsqueeze import (
     pair_correlations,
     random_separable_state,
 )
-from spinsqueeze import operators, reductions, squeezing
+from spinsqueeze import operators, reductions
 from spinsqueeze.cli import main
 from spinsqueeze.sampling import haar_pure_state
 
@@ -118,32 +118,24 @@ def test_symmetry_verdict_reads_the_pair_table(make, symmetric, monkeypatch):
 
 
 def test_analyze_takes_each_pair_reduction_once(monkeypatch):
-    # the symmetry test reads the pair table, so the state is reduced once per pair
+    # every pair consumer, the local-frame closed form included, reads the one
+    # pair table of the state, so the state is reduced once per pair and
+    # nothing else is reduced
     state = haar_pure_state(8, np.random.default_rng(5))
     reduced = []
-    rotations = []
     original_reduce = reductions.reduce
-    original_rotate = squeezing.apply_local_unitaries
 
     def counting_reduce(target, subset):
         reduced.append((target, list(subset)))
         return original_reduce(target, subset)
 
-    def counting_rotate(target, local_unitary):
-        rotations.append(target)
-        return original_rotate(target, local_unitary)
-
     monkeypatch.setattr(reductions, "reduce", counting_reduce)
-    monkeypatch.setattr(squeezing, "apply_local_unitaries", counting_rotate)
     analyze_state(state)
 
-    assert len(rotations) == 1 and rotations[0] is state
-    on_state = [subset for target, subset in reduced if target is state]
-    copies = {id(target) for target, _ in reduced if target is not state}
-    on_copy = [subset for target, subset in reduced if target is not state]
-    assert len(on_state) == 28
-    assert len(copies) == 1 and len(on_copy) == 28
-    assert all(len(subset) == 2 for _, subset in reduced)
+    assert len(reduced) == 28
+    assert all(target is state for target, _ in reduced)
+    assert sorted(tuple(subset) for _, subset in reduced) == [
+        (i, j) for i in range(1, 9) for j in range(i + 1, 9)]
 
 
 def _fresh_copy(state):

@@ -17,7 +17,6 @@ from spinsqueeze import (
     pair_correlation_sum,
     product_state,
     reduce,
-    su2_to_so3,
 )
 from spinsqueeze.sampling import (
     haar_pure_state,
@@ -26,6 +25,7 @@ from spinsqueeze.sampling import (
 )
 
 from conftest import bell_state, ghz_state, schmidt_state
+from oracles import su2_to_so3
 
 
 def test_reduce_product_state_gives_pure_factor():
