@@ -177,14 +177,19 @@ def bloch_vectors(state):
 
 
 def dicke_collective_operators(num_qubits):
-    """(J_x, J_y, J_z) on the (N+1)-dimensional Dicke basis, k = qubits in |0>."""
+    """(J_x, J_y, J_z) on the (N+1)-dimensional Dicke basis, k = qubits in |0>.
+
+    Dense operators with their bands written in; J_+ maps k -> k+1 by sqrt((N-k)(k+1)).
+    """
     n = num_qubits
     k = np.arange(n + 1)
-    jz = np.diag(k - n / 2).astype(complex)
-    raise_coeff = np.sqrt((n - k[:-1]) * (k[:-1] + 1))
-    jplus = np.diag(raise_coeff, -1).astype(complex)  # maps k -> k+1
-    jx = (jplus + jplus.conj().T) / 2
-    jy = (jplus - jplus.conj().T) / (2j)
+    half = np.sqrt((n - k[:-1]) * (k[:-1] + 1)) / 2
+    jx, jy, jz = np.zeros((3, n + 1, n + 1), dtype=complex)
+    jz.real.flat[::n + 2] = k - n / 2
+    jx.real.flat[n + 1::n + 2] = half  # <k+1|J_x|k>
+    jx.real.flat[1::n + 2] = half
+    jy.imag.flat[n + 1::n + 2] = -half  # <k+1|J_y|k> = -i sqrt(...)/2
+    jy.imag.flat[1::n + 2] = half
     return jx, jy, jz
 
 

@@ -35,10 +35,24 @@ def _fmt_float(x):
     return format(float(x), ".17g")
 
 
+def _render_complex_array(arr):
+    """A complex vector as [[re,im],...], or a matrix as rows of those, in one pass."""
+    if not np.isfinite(arr).all():
+        raise ValidationError("cannot serialize non-finite numbers")
+    parts = [format(x, ".17g") for x in np.ascontiguousarray(arr).view(float).ravel().tolist()]
+    pairs = ["[" + re + "," + im + "]" for re, im in zip(parts[::2], parts[1::2])]
+    if arr.ndim == 2:
+        width = arr.shape[1]
+        pairs = ["[" + ",".join(pairs[i:i + width]) + "]" for i in range(0, len(pairs), width)]
+    return "[" + ",".join(pairs) + "]"
+
+
 def render_json(obj):
     """Deterministic JSON rendering with 17-significant-digit floats."""
     if obj is None:
         return "null"
+    if isinstance(obj, np.ndarray) and np.iscomplexobj(obj) and obj.ndim in (1, 2):
+        return _render_complex_array(obj)
     if isinstance(obj, dict):
         inner = ",".join(f"{json.dumps(k)}:{render_json(v)}" for k, v in obj.items())
         return "{" + inner + "}"
@@ -55,36 +69,28 @@ def render_json(obj):
     raise ValidationError(f"cannot serialize {type(obj).__name__}")
 
 
-def _complex_pair(z):
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _matrix_rows(mat):
-    return [[_complex_pair(z) for z in row] for row in np.asarray(mat)]
-
-
 def state_to_document(state):
-    """Build the JSON document for a state or a list of MixtureTerms."""
+    """Build the document, holding the state's complex arrays, for a state or MixtureTerms."""
     if isinstance(state, PureState):
         return {
             "format_version": FORMAT_VERSION,
             "kind": "pure",
             "num_qubits": state.num_qubits,
-            "amplitudes": [_complex_pair(z) for z in state.amplitudes],
+            "amplitudes": state.amplitudes,
         }
     if isinstance(state, DensityMatrix):
         return {
             "format_version": FORMAT_VERSION,
             "kind": "density",
             "num_qubits": state.num_qubits,
-            "matrix": _matrix_rows(state.matrix),
+            "matrix": state.matrix,
         }
     if isinstance(state, SymmetricState):
         return {
             "format_version": FORMAT_VERSION,
             "kind": "symmetric",
             "num_qubits": state.num_qubits,
-            "dicke_amplitudes": [_complex_pair(z) for z in state.dicke_amplitudes],
+            "dicke_amplitudes": state.dicke_amplitudes,
         }
     if isinstance(state, (list, tuple)) and all(isinstance(t, MixtureTerm) for t in state):
         terms = list(state)
@@ -95,7 +101,7 @@ def state_to_document(state):
             "kind": "mixture",
             "num_qubits": terms[0].num_qubits,
             "terms": [
-                {"weight": t.weight, "factors": [_matrix_rows(f) for f in t.factors]}
+                {"weight": t.weight, "factors": list(t.factors)}
                 for t in terms
             ],
         }
@@ -135,10 +141,13 @@ def _parse_complex_vector(raw, field_name):
 def _parse_complex_matrix(raw, field_name):
     if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
         raise ValidationError(f"field {field_name!r} must be a list of rows")
+    if len({len(r) for r in raw}) > 1:
+        raise ValidationError(f"field {field_name!r} has rows of different lengths")
     return np.array([[_parse_complex(v, field_name) for v in row] for row in raw],
                     dtype=complex)
 
 
+@np.errstate(over="ignore")  # entries near 1e308 overflow the norm and trace checks
 def document_to_state(doc):
     """Parse and re-validate a state file document.
 

@@ -3,6 +3,9 @@
 They work on the full state vector or density matrix, not on the moment
 layer: collective moments for arbitrary per-qubit frames, the SU(2) to SO(3)
 map, and the local-frame aligned pair sum evaluated by rotating the state.
+Two more rebuild earlier constructions the package must match bit for bit:
+the Dicke-basis operators by dense matrix arithmetic, and state-file
+documents as nested lists of Python floats.
 """
 
 import math
@@ -12,7 +15,9 @@ import numpy as np
 from spinsqueeze import (
     DensityMatrix,
     LocalUnitary,
+    MixtureTerm,
     PureState,
+    SymmetricState,
     ValidationError,
     apply_local_unitaries,
     bloch_vectors,
@@ -26,6 +31,7 @@ from spinsqueeze.operators import (
     _apply_density_left,
     _apply_pure,
 )
+from spinsqueeze.statefile import FORMAT_VERSION
 
 
 def su2_to_so3(u):
@@ -140,3 +146,43 @@ def _second_moment(state, directions, applied):
     for q, op in enumerate(ops, start=1):
         total += np.trace(_apply_density_left(applied, n, q, op)).real
     return total
+
+
+def dense_collective_operators(num_qubits):
+    """(J_x, J_y, J_z) in the Dicke basis from J_+ by full-matrix arithmetic."""
+    n = num_qubits
+    k = np.arange(n + 1)
+    jz = np.diag(k - n / 2).astype(complex)
+    raise_coeff = np.sqrt((n - k[:-1]) * (k[:-1] + 1))
+    jplus = np.diag(raise_coeff, -1).astype(complex)  # maps k -> k+1
+    jx = (jplus + jplus.conj().T) / 2
+    jy = (jplus - jplus.conj().T) / (2j)
+    return jx, jy, jz
+
+
+def complex_pair_list(z):
+    """[re, im] of one complex number as Python floats."""
+    return [float(np.real(z)), float(np.imag(z))]
+
+
+def complex_rows(mat):
+    """A complex matrix as rows of [re, im] lists."""
+    return [[complex_pair_list(z) for z in row] for row in np.asarray(mat)]
+
+
+def list_state_document(state):
+    """A state's file document with every complex number as a [re, im] list of floats."""
+    head = {"format_version": FORMAT_VERSION}
+    if isinstance(state, PureState):
+        return {**head, "kind": "pure", "num_qubits": state.num_qubits,
+                "amplitudes": [complex_pair_list(z) for z in state.amplitudes]}
+    if isinstance(state, DensityMatrix):
+        return {**head, "kind": "density", "num_qubits": state.num_qubits,
+                "matrix": complex_rows(state.matrix)}
+    if isinstance(state, SymmetricState):
+        return {**head, "kind": "symmetric", "num_qubits": state.num_qubits,
+                "dicke_amplitudes": [complex_pair_list(z) for z in state.dicke_amplitudes]}
+    assert all(isinstance(t, MixtureTerm) for t in state)
+    return {**head, "kind": "mixture", "num_qubits": state[0].num_qubits,
+            "terms": [{"weight": t.weight, "factors": [complex_rows(f) for f in t.factors]}
+                      for t in state]}

@@ -138,6 +138,46 @@ def test_analyze_rejects_infinite_density_entry(tmp_path, capsys):
     assert err.startswith("error: matrix is not Hermitian: entry (0, 0) is (inf+0j), not finite")
 
 
+def test_analyze_rejects_ragged_matrix_rows(tmp_path, capsys):
+    files = {
+        "matrix": '{"format_version": "1", "kind": "density", "num_qubits": 1, '
+                  '"matrix": [[[1, 0], [0, 0]], [[0, 0]]]}',
+        "terms[0].factors": '{"format_version": "1", "kind": "mixture", "num_qubits": 1, '
+                            '"terms": [{"weight": 1, "factors": [[[[1, 0], [0, 0]], [[0, 0]]]]}]}',
+    }
+    for field, text in files.items():
+        bad = tmp_path / "ragged.json"
+        bad.write_text(text)
+        assert run_cli("analyze", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: field {field!r} has rows of different lengths\n"
+
+
+def test_analyze_rejects_overflowing_entries_with_one_error_line(tmp_path, capsys):
+    files = {
+        "state norm inf ": '{"format_version": "1", "kind": "pure", "num_qubits": 1, '
+                           '"amplitudes": [[1e308, 0], [1e308, 0]]}',
+        "state norm inf": '{"format_version": "1", "kind": "symmetric", "num_qubits": 1, '
+                          '"dicke_amplitudes": [[1e308, 1e308], [0, 0]]}',
+        "trace inf ": '{"format_version": "1", "kind": "density", "num_qubits": 1, '
+                      '"matrix": [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]}',
+        "matrix is not Hermitian": '{"format_version": "1", "kind": "density", "num_qubits": 1, '
+                                   '"matrix": [[[0.5, 0], [1e308, 0]], [[-1e308, 0], [0.5, 0]]]}',
+        "factor 0 does not have unit trace": (
+            '{"format_version": "1", "kind": "mixture", "num_qubits": 1, "terms": '
+            '[{"weight": 1, "factors": [[[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]]}]}'),
+    }
+    for message, text in files.items():
+        bad = tmp_path / "huge.json"
+        bad.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning would print first
+            assert run_cli("analyze", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: " + message)
+
+
 def test_generate_rejects_negative_seed(capsys):
     assert run_cli("generate", "random-separable", "--n", "2", "--seed", "-5") == 2
     captured = capsys.readouterr()

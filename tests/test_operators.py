@@ -22,11 +22,11 @@ from spinsqueeze import (
     total_spin_expectation,
     unit,
 )
-from spinsqueeze.operators import SIGMA_X
+from spinsqueeze.operators import SIGMA_X, dicke_collective_operators
 from spinsqueeze.sampling import haar_pure_state, haar_unitary_2, random_local_unitary
 
 from conftest import bell_state, schmidt_state
-from oracles import collective_moment, su2_rotation, su2_to_so3
+from oracles import collective_moment, dense_collective_operators, su2_rotation, su2_to_so3
 
 
 def test_direction_requires_unit_norm():
@@ -218,3 +218,11 @@ def test_uncertainty_relation_for_random_frames(rng):
         mean_j0, cov = collective_moment(state, frames)
         product = math.sqrt(max(cov[0, 0], 0.0)) * math.sqrt(max(cov[1, 1], 0.0))
         assert product >= abs(mean_j0) / 2 - 1e-9
+
+
+def test_dicke_operators_equal_the_dense_construction_bit_for_bit():
+    for n in [*range(1, 65), 500, 2000]:
+        for banded, dense in zip(dicke_collective_operators(n), dense_collective_operators(n)):
+            assert banded.shape == dense.shape == (n + 1, n + 1)
+            # the float views compare sign bits of zeros too
+            assert np.array_equal(banded.view(np.uint64), dense.view(np.uint64)), n

@@ -10,6 +10,7 @@ from spinsqueeze import (
     ValidationError,
     analyze_state,
     bloch_vectors,
+    coherent_spin_state,
     correlation_matrix,
     dicke_moments,
     embed_symmetric,
@@ -21,6 +22,8 @@ from spinsqueeze import (
 from spinsqueeze import operators, reductions
 from spinsqueeze.cli import main
 from spinsqueeze.sampling import haar_pure_state
+
+from oracles import dense_collective_operators
 
 
 @pytest.fixture
@@ -56,6 +59,15 @@ def test_dicke_moments_match_the_operator_definition():
     mean, second = dicke_moments(state)
     assert np.array_equal(mean, [np.vdot(d, a).real for a in applied])
     assert np.array_equal(second, [[np.vdot(a, b).real for b in applied] for a in applied])
+
+
+def test_dicke_moments_equal_the_dense_operator_moments_at_n2000():
+    state = coherent_spin_state(2000, 1.1, 0.4)
+    d = state.dicke_amplitudes
+    applied = [op @ d for op in dense_collective_operators(2000)]
+    mean, second = dicke_moments(state)
+    assert (mean == [np.vdot(d, a).real for a in applied]).all()
+    assert (second == [[np.vdot(a, b).real for b in applied] for a in applied]).all()
 
 
 def test_dicke_moments_reject_qubit_resolved_states():

@@ -12,6 +12,8 @@ from spinsqueeze import ValidationError
 from spinsqueeze.statefile import document_to_state, dumps, loads, realize, state_to_document
 from spinsqueeze.states import DensityMatrix, MixtureTerm, PureState, SymmetricState
 
+from oracles import list_state_document
+
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 _parts = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -70,6 +72,7 @@ def mixtures(draw):
 def test_serialize_parse_serialize_is_byte_identical(state):
     text = dumps(state_to_document(state))
     assert dumps(state_to_document(document_to_state(loads(text)))) == text
+    assert dumps(list_state_document(state)) == text
 
 
 def _number_slots(doc):
@@ -93,11 +96,41 @@ def _number_slots(doc):
        st.integers(0, 10**6),
        st.sampled_from([math.nan, math.inf, -math.inf]))
 def test_a_non_finite_entry_is_rejected_without_a_warning(state, index, bad):
+    _assert_rejected_without_a_warning(state, index, bad)
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(pure_states(), symmetric_states(), density_matrices(), mixtures()),
+       st.integers(0, 10**6),
+       st.sampled_from([1e308, -1e308]))
+def test_an_overflowing_entry_is_rejected_without_a_warning(state, index, huge):
+    _assert_rejected_without_a_warning(state, index, huge)
+
+
+def _assert_rejected_without_a_warning(state, index, value):
     doc = loads(dumps(state_to_document(state)))
     slots = _number_slots(doc)
     container, key = slots[index % len(slots)]
-    container[key] = bad
+    container[key] = value
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError):
+            realize(document_to_state(doc))
+
+
+def _matrix_rows_of(doc):
+    if "matrix" in doc:
+        return doc["matrix"]
+    return [row for term in doc["terms"] for factor in term["factors"] for row in factor]
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(density_matrices(), mixtures()), st.integers(0, 10**6))
+def test_a_ragged_matrix_is_rejected(state, index):
+    doc = loads(dumps(state_to_document(state)))
+    rows = _matrix_rows_of(doc)
+    rows[index % len(rows)].pop()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="rows of different lengths"):
             realize(document_to_state(doc))

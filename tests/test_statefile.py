@@ -6,7 +6,9 @@ import pytest
 
 from spinsqueeze import (
     DensityMatrix,
+    MixtureTerm,
     PureState,
+    SymmetricState,
     ValidationError,
     coherent_spin_state,
     random_separable_terms,
@@ -16,11 +18,13 @@ from spinsqueeze.statefile import (
     dumps,
     load_state,
     realize,
+    render_json,
     save_state,
     state_to_document,
 )
 
 from conftest import bell_state
+from oracles import complex_pair_list, complex_rows, list_state_document
 
 
 def roundtrip_text(state):
@@ -99,3 +103,42 @@ def test_deserialization_revalidates_invariants():
            "amplitudes": [[1.0, 0.0], [1.0, 0.0]]}
     with pytest.raises(ValidationError):
         document_to_state(doc)
+
+
+TINY = 5e-324  # the smallest subnormal double
+
+
+def test_files_are_byte_identical_to_the_list_document():
+    pure = PureState(2, np.array([complex(-0.0, TINY), complex(0.6, -0.0),
+                                  complex(-TINY, 0.0), complex(0.0, -0.8)]))
+    dense = DensityMatrix(2, np.diag([complex(0.5, -0.0), 0.5, -0.0, TINY]))
+    symmetric = SymmetricState(3, np.array([complex(-0.0, 0.6), complex(TINY, -0.0),
+                                            complex(0.8, -TINY), complex(-0.0, -0.0)]))
+    mixture = [MixtureTerm(0.25, (np.array([[1.0, -0.0], [-0.0, TINY]]),
+                                  np.array([[0.5, complex(-TINY, 0.5)],
+                                            [complex(-TINY, -0.5), 0.5]]))),
+               MixtureTerm(0.75, (np.eye(2) / 2, np.diag([-0.0, 1.0])))]
+    states = (pure, dense, symmetric, mixture, bell_state(), coherent_spin_state(40, 1.1, 2.2),
+              random_separable_terms(3, 4, seed=5))
+    for state in states:
+        assert dumps(state_to_document(state)) == dumps(list_state_document(state))
+
+
+def test_array_rendering_matches_the_float_lists_at_the_extremes():
+    values = np.array([[complex(1e308, -1e308), complex(-0.0, TINY)],
+                       [complex(-TINY, -0.0), complex(2.2250738585072014e-308, 1 / 3)]])
+    assert render_json(values) == render_json(complex_rows(values))
+    assert render_json(values[1]) == render_json([complex_pair_list(z) for z in values[1]])
+    assert render_json(values) == ("[[[1e+308,-1e+308],[-0,4.9406564584124654e-324]],"
+                                   "[[-4.9406564584124654e-324,-0],"
+                                   "[2.2250738585072014e-308,0.33333333333333331]]]")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_array_entries_cannot_be_serialized(bad):
+    for part in (complex(bad, 0.0), complex(0.0, bad)):
+        vector = np.array([0.5, part, 0.5])
+        matrix = np.array([[0.5, 0.0], [0.0, part]])
+        for doc in (vector, matrix, {"amplitudes": vector}, {"terms": [{"factors": [matrix]}]}):
+            with pytest.raises(ValidationError, match="cannot serialize non-finite numbers"):
+                dumps(doc)
