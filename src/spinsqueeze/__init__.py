@@ -33,13 +33,12 @@ from .operators import (
     unit,
 )
 from .reductions import (
-    CorrelationMatrix,
-    collective_to_pair_correlations,
     correlation_matrix,
     is_exchange_symmetric,
     pair_correlation_sum,
     pair_correlations,
     reduce,
+    symmetric_moments,
 )
 from .squeezing import (
     SqueezingResult,

@@ -121,6 +121,8 @@ def _cmd_generate(args):
                 theta, phi = float(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise ValidationError(f"--qubit {spec!r} is not numeric") from exc
+            _require(math.isfinite(theta) and math.isfinite(phi),
+                     f"--qubit {spec!r} is not finite")
             factors.append(np.array([math.cos(theta / 2),
                                      math.sin(theta / 2) * np.exp(1j * phi)]))
         state = product_state(factors)
@@ -160,12 +162,15 @@ def _sweep_state(kind, value, args):
 def _cmd_sweep(args):
     _require(1 <= args.points <= SWEEP_MAX_POINTS,
              f"--points must be between 1 and {SWEEP_MAX_POINTS}")
+    _require(math.isfinite(args.start), f"--start must be finite, got {args.start!r}")
+    _require(math.isfinite(args.stop), f"--stop must be finite, got {args.stop!r}")
+    _require(math.isfinite(args.stop - args.start), "--stop - --start overflows")
     values = np.linspace(args.start, args.stop, args.points)
     rows = []
     for value in values:
         state = _sweep_state(args.kind, float(value), args)
         std = xi_standard(state)
-        symmetric = state.num_qubits >= 2 and is_exchange_symmetric(state)
+        symmetric = is_exchange_symmetric(state)
         tilde = xi_tilde_result_for(state)
         conc = None
         if isinstance(state, PureState) and state.num_qubits == 2:

@@ -23,13 +23,8 @@ import numpy as np
 
 from .errors import QubitBlochZeroError, ValidationError
 from .operators import alignment_rotation_matrix
-from .reductions import is_exchange_symmetric
-from .squeezing import (
-    _eigen_2x2,
-    _symmetric_bloch_and_pair,
-    xi_tilde_general,
-    xi_tilde_symmetric,
-)
+from .reductions import is_exchange_symmetric, symmetric_moments
+from .squeezing import _eigen_2x2, xi_tilde_general, xi_tilde_symmetric
 from .states import PureState
 
 BLOCH_TOL = 1e-10
@@ -119,7 +114,8 @@ def invariant_I(state):
     2 s0^2 t_plus t_minus in the aligned frame); the paths must agree within
     1e-9 or a ValidationError is raised.
     """
-    s, t = _bloch_and_pair(state)
+    s, t = symmetric_moments(state)
+    t = (t + t.T) / 2
     direct = float(np.einsum("ijk,lmn,i,l,jm,kn->",
                              LEVI_CIVITA, LEVI_CIVITA, s, s, t, t))
     s0, t_plus, t_minus = _aligned_perp_eigenvalues(s, t)
@@ -130,18 +126,11 @@ def invariant_I(state):
     return direct
 
 
-def _bloch_and_pair(state):
-    """Bloch vector and symmetrized pair correlation matrix of a symmetric state."""
-    s, t = _symmetric_bloch_and_pair(state)
-    return s, (t + t.T) / 2
-
-
 def verify_identity_imp1(state):
     """(lhs, rhs, residual) of I = 2 s0^2 t_plus (xi1_tilde^2 - 1) / (N - 1)."""
     n = state.num_qubits
-    if n < 2:
-        raise ValidationError("the identity needs at least 2 qubits")
-    s, t = _bloch_and_pair(state)
+    s, t = symmetric_moments(state)
+    t = (t + t.T) / 2
     s0, t_plus, _ = _aligned_perp_eigenvalues(s, t)
     if s0 <= BLOCH_TOL:
         raise QubitBlochZeroError("identity undefined for vanishing Bloch vectors")
@@ -164,9 +153,8 @@ def witness(state):
     if xi2t is None:
         reason = result.undefined_reason.value if result.undefined_reason else "undefined"
         notes.append(f"xi2_tilde undefined ({reason})")
-    symmetric = is_exchange_symmetric(state) and state.num_qubits >= 2
     inv = None
-    if symmetric:
+    if is_exchange_symmetric(state):
         inv = invariant_I(state)
         notes.append(f"pair invariant = {inv:.6g}")
     if inv is not None and inv < -WITNESS_TOL:
@@ -190,6 +178,6 @@ def xi_tilde_result_for(state):
     The two paths agree on exchange-symmetric inputs, and only the symmetric
     one scales past the full-vector capacity guard.
     """
-    if state.num_qubits >= 2 and is_exchange_symmetric(state):
+    if is_exchange_symmetric(state):
         return xi_tilde_symmetric(state)
     return xi_tilde_general(state)

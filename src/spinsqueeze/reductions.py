@@ -1,6 +1,5 @@
 """Reduced density matrices and two-qubit pair correlation structure."""
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -19,22 +18,6 @@ PAIR_BASIS = np.stack(
     [np.stack([np.kron(a, b) for b in _ONE_QUBIT_BASIS]) for a in _ONE_QUBIT_BASIS])
 # PAIR_PAULIS[a, b] = sigma_a (x) sigma_b, used to read T off a 4x4 reduction
 PAIR_PAULIS = PAIR_BASIS[1:, 1:]
-
-
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """3x3 real matrix T_ab = <sigma_{i a} sigma_{j b}> for one qubit pair."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        t = np.array(self.entries, dtype=float)
-        if t.shape != (3, 3):
-            raise ValidationError(f"correlation matrix must be 3x3, got {t.shape}")
-        if np.max(np.abs(t)) > 1.0 + ENTRY_TOL:
-            raise ValidationError("correlation entries must lie in [-1, 1]")
-        t.setflags(write=False)
-        object.__setattr__(self, "entries", t)
 
 
 def reduce(state, subset):
@@ -70,13 +53,19 @@ def _rehermitize(rho):
     return (rho + rho.conj().T) / 2
 
 
+def _clipped(t):
+    """Correlation entries clipped to [-1, 1] within ENTRY_TOL, read-only."""
+    t = np.clip(t, -1.0 - ENTRY_TOL, 1.0 + ENTRY_TOL)
+    t.setflags(write=False)
+    return t
+
+
 def correlation_matrix(state, i, j):
-    """Pair correlation matrix T_ab = <sigma_{i a} sigma_{j b}>."""
+    """Pair correlation matrix T_ab = <sigma_{i a} sigma_{j b}> as a read-only (3, 3) array."""
     if i == j:
         raise ValidationError("correlation matrix needs two distinct qubits")
     rho = reduce(state, [i, j]).matrix
-    t = np.einsum("ab,xyba->xy", rho, PAIR_PAULIS).real
-    return CorrelationMatrix(np.clip(t, -1.0 - ENTRY_TOL, 1.0 + ENTRY_TOL))
+    return _clipped(np.einsum("ab,xyba->xy", rho, PAIR_PAULIS).real)
 
 
 def pair_correlations(state):
@@ -89,7 +78,7 @@ def pair_correlations(state):
         n = state.num_qubits
         table = np.zeros((n, n, 3, 3))
         for i, j in combinations(range(n), 2):
-            t = correlation_matrix(state, i + 1, j + 1).entries
+            t = correlation_matrix(state, i + 1, j + 1)
             table[i, j] = t
             table[j, i] = t.T
         table.setflags(write=False)
@@ -108,25 +97,33 @@ def pair_correlation_sum(state):
     return total
 
 
-def collective_to_pair_correlations(state):
-    """Pair correlation matrix of a symmetric state from collective moments.
+def symmetric_moments(state):
+    """(s, T): the common Bloch vector and pair correlation matrix of an exchange-symmetric state.
 
-    For exchange-symmetric states all pairs share one T, and
-    T_ab = (2 <{J_a, J_b}> - N delta_ab) / (N (N - 1)), evaluated entirely in
-    the Dicke basis.
+    A SymmetricState reads them off its Dicke-basis moments, s = 2 <J> / N and
+    T_ab = (2 <{J_a, J_b}> - N delta_ab) / (N (N - 1)); a qubit-resolved state
+    reads qubit 1's Bloch vector and the (1, 2) entry of its pair table.  T is
+    not symmetrised.  Both arrays are read-only and kept on the state.
     """
-    if not isinstance(state, SymmetricState):
-        raise ValidationError("expected a SymmetricState")
-    n = state.num_qubits
-    if n < 2:
-        raise ValidationError("pair correlations need at least 2 qubits")
-    second = dicke_moments(state)[1]
-    t = np.empty((3, 3))
-    for a in range(3):
-        for b in range(3):
-            anticomm = 2 * second[a, b]
-            t[a, b] = (2 * anticomm - (n if a == b else 0)) / (n * (n - 1))
-    return CorrelationMatrix(np.clip(t, -1.0 - ENTRY_TOL, 1.0 + ENTRY_TOL))
+    def compute():
+        n = state.num_qubits
+        if n < 2:
+            raise ValidationError("pair correlations need at least 2 qubits")
+        if not isinstance(state, SymmetricState):
+            if not is_exchange_symmetric(state):
+                raise ValidationError("state is not exchange-symmetric within tolerance")
+            return bloch_vectors(state)[0], pair_correlations(state)[0, 1]
+        mean, second = dicke_moments(state)
+        s = 2.0 * mean / n
+        s.setflags(write=False)
+        t = np.empty((3, 3))
+        for a in range(3):
+            for b in range(3):
+                anticomm = 2 * second[a, b]
+                t[a, b] = (2 * anticomm - (n if a == b else 0)) / (n * (n - 1))
+        return s, _clipped(t)
+
+    return _once_per_state(state, "symmetric_moments", compute)
 
 
 def is_exchange_symmetric(state):
@@ -134,7 +131,9 @@ def is_exchange_symmetric(state):
 
     The reductions are rebuilt from the moment layer; the verdict is kept on the state.
     """
-    if isinstance(state, SymmetricState) or state.num_qubits < 2:
+    if state.num_qubits < 2:
+        return False  # a single qubit has no pair
+    if isinstance(state, SymmetricState):
         return True
     return _once_per_state(state, "exchange_symmetric", lambda: _pair_reductions_agree(state))
 

@@ -7,12 +7,8 @@ from itertools import combinations
 from ._version import __version__
 from .entanglement import concurrence_pure, verify_identity_imp1, witness
 from .errors import QubitBlochZeroError
-from .operators import bloch_vectors
-from .reductions import (
-    collective_to_pair_correlations,
-    is_exchange_symmetric,
-    pair_correlations,
-)
+from .operators import bloch_vectors, total_spin_expectation
+from .reductions import is_exchange_symmetric, pair_correlations, symmetric_moments
 from .squeezing import (
     brute_force_min_variance,
     xi_standard,
@@ -82,7 +78,7 @@ def analyze_state(state, source_path=None, source_bytes=None, input_kind=None):
         general = xi_tilde_general(state)
         report["local_invariant_general"] = _squeezing_dict(general)
 
-    symmetric = n >= 2 and is_exchange_symmetric(state)
+    symmetric = is_exchange_symmetric(state)
     report["exchange_symmetric"] = symmetric
     if symmetric:
         report["local_invariant_symmetric"] = _squeezing_dict(xi_tilde_symmetric(state))
@@ -123,21 +119,18 @@ def analyze_state(state, source_path=None, source_bytes=None, input_kind=None):
 
 def _bloch_section(state):
     if isinstance(state, SymmetricState):
-        from .operators import total_spin_expectation
-
         s = 2.0 * total_spin_expectation(state) / state.num_qubits
         return {"common": [float(x) for x in s]}
     return {"per_qubit": [[float(x) for x in row] for row in bloch_vectors(state)]}
 
 
 def _pair_section(state, symmetric):
-    if isinstance(state, SymmetricState):
-        t = collective_to_pair_correlations(state).entries
-        return [{"pair": "all", "matrix": [[float(x) for x in row] for row in t]}]
+    if symmetric:  # all pairs coincide
+        t = symmetric_moments(state)[1]
+        pair = "all" if isinstance(state, SymmetricState) else [1, 2]
+        return [{"pair": pair, "matrix": [[float(x) for x in row] for row in t]}]
     table = pair_correlations(state)
-    pairs = list(combinations(range(state.num_qubits), 2))
-    if symmetric:
-        pairs = pairs[:1]  # all pairs coincide
+    pairs = combinations(range(state.num_qubits), 2)
     return [{"pair": [i + 1, j + 1],
              "matrix": [[float(x) for x in row] for row in table[i, j]]}
             for i, j in pairs]

@@ -35,12 +35,7 @@ from .operators import (
     total_spin_expectation,
     unit,
 )
-from .reductions import (
-    collective_to_pair_correlations,
-    is_exchange_symmetric,
-    pair_correlation_sum,
-    pair_correlations,
-)
+from .reductions import pair_correlation_sum, pair_correlations, symmetric_moments
 from .states import SymmetricState, embed_symmetric
 
 MEAN_SPIN_TOL = 1e-10
@@ -166,19 +161,6 @@ def xi_standard(state):
         xi1=xi1, xi2=xi2, min_variance=min_var, optimal_angle=angle, mean_J0=j_norm)
 
 
-def _symmetric_bloch_and_pair(state):
-    """Common Bloch vector and pair correlation matrix of a symmetric state."""
-    if isinstance(state, SymmetricState):
-        s = 2.0 * total_spin_expectation(state) / state.num_qubits
-        t = collective_to_pair_correlations(state).entries
-    else:
-        if not is_exchange_symmetric(state):
-            raise ValidationError("state is not exchange-symmetric within tolerance")
-        s = bloch_vectors(state)[0]
-        t = pair_correlations(state)[0, 1]
-    return s, t
-
-
 def xi_tilde_symmetric(state):
     """Local-frame parameters for an exchange-symmetric state (closed form).
 
@@ -186,9 +168,7 @@ def xi_tilde_symmetric(state):
     orthogonal to the common Bloch direction; xi2_tilde = xi1_tilde / s0.
     """
     n = state.num_qubits
-    if n < 2:
-        raise ValidationError("local-frame squeezing needs at least 2 qubits")
-    s, t = _symmetric_bloch_and_pair(state)
+    s, t = symmetric_moments(state)
     s0 = float(np.linalg.norm(s))
     if s0 <= BLOCH_TOL:
         return SqueezingResult(undefined_reason=UndefinedReason.QUBIT_BLOCH_ZERO)

@@ -190,6 +190,8 @@ def coherent_spin_state(num_qubits, theta, phi):
         raise ValidationError("num_qubits must be >= 1")
     if not 0.0 <= theta <= math.pi:
         raise ValidationError(f"theta {theta!r} outside [0, pi]")
+    if not math.isfinite(n * phi):
+        raise ValidationError(f"azimuthal angle phi {phi!r} gives a non-finite phase N phi")
     c = math.cos(theta / 2)
     s = math.sin(theta / 2)
     k = np.arange(n + 1)
@@ -247,6 +249,9 @@ def one_axis_twisted_state(num_qubits, mu):
     n = int(num_qubits)
     if n < 2:
         raise ValidationError("one-axis twisting needs at least 2 qubits")
+    if not math.isfinite(mu * (n / 2) ** 2):
+        raise ValidationError(
+            f"twisting strength mu {mu!r} gives a non-finite phase mu (k - N/2)^2")
     base = coherent_spin_state(n, math.pi / 2, 0.0)
     k = np.arange(n + 1)
     amps = base.dicke_amplitudes * np.exp(-1j * mu * (k - n / 2) ** 2)

@@ -28,16 +28,15 @@ from spinsqueeze import (
     bloch_vectors,
     brute_force_min_variance,
     coherent_spin_state,
-    collective_to_pair_correlations,
     complete_frame,
     concurrence_pure,
-    correlation_matrix,
     embed_symmetric,
     invariant_I,
     one_axis_twisted_state,
     product_state,
     quadratic_form_min,
     random_separable_state,
+    symmetric_moments,
     total_spin_expectation,
     unit,
     verify_identity_imp1,
@@ -45,7 +44,7 @@ from spinsqueeze import (
     xi_tilde_general,
     xi_tilde_symmetric,
 )
-from spinsqueeze.entanglement import _aligned_perp_eigenvalues, _bloch_and_pair
+from spinsqueeze.entanglement import _aligned_perp_eigenvalues
 from spinsqueeze.operators import SIGMA_X, LocalUnitary, alignment_rotation_matrix
 from spinsqueeze.sampling import (
     haar_pure_state,
@@ -300,18 +299,17 @@ def test_criterion_09_symmetric_state_structure():
     for idx in range(100):
         n = 2 + idx % 9  # N in 2..10
         state = random_symmetric_pure(n, rng)
-        t = collective_to_pair_correlations(state).entries
+        s, t = symmetric_moments(state)
         worst_trace = max(worst_trace, abs(np.trace(t) - 1.0))
-        s = 2.0 * total_spin_expectation(state) / n
         _, t_plus, _ = _aligned_perp_eigenvalues(s, t)
         min_tplus = min(min_tplus, t_plus)
-        full = embed_symmetric(state)
-        slow = correlation_matrix(full, 1, 2).entries
+        slow = symmetric_moments(embed_symmetric(state))[1]
         worst_pair = max(worst_pair, float(np.max(np.abs(t - slow))))
     for idx in range(50):
         n = 2 + idx % 5
         rho = random_symmetric_mixture(n, int(rng.integers(1, 4)), rng)
-        s, t = _bloch_and_pair(rho)
+        s, t = symmetric_moments(rho)
+        t = (t + t.T) / 2
         worst_trace = max(worst_trace, abs(np.trace(t) - 1.0))
         _, t_plus, _ = _aligned_perp_eigenvalues(s, t)
         min_tplus = min(min_tplus, t_plus)

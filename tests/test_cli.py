@@ -28,6 +28,31 @@ def test_generate_css_round_trips_through_analyze(tmp_path, capsys):
     assert "xi1 = 1 " in text or "xi1 = 1\n" in text or "xi1 = 1  " in text
 
 
+def test_generate_css_one_qubit_round_trips_through_analyze(tmp_path, capsys):
+    # one qubit has no pair: the symmetric file reports like a one-qubit pure file
+    css = tmp_path / "css1.json"
+    pure = tmp_path / "pure1.json"
+    assert run_cli("generate", "css", "--n", "1", "--theta", "0.7", "--phi", "0.2",
+                   "--output", str(css)) == 0
+    from spinsqueeze import coherent_spin_state, embed_symmetric
+    from spinsqueeze.statefile import save_state
+
+    save_state(pure, embed_symmetric(coherent_spin_state(1, 0.7, 0.2)))
+    reports = []
+    for path in (css, pure):
+        assert run_cli("analyze", str(path), "--format", "machine") == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    symmetric, qubit = reports
+    assert symmetric["exchange_symmetric"] is qubit["exchange_symmetric"] is False
+    assert symmetric["pair_correlations"] == qubit["pair_correlations"] == []
+    assert symmetric["local_invariant_symmetric"] is None
+    common = symmetric["bloch_vectors"]["common"]
+    assert max(abs(a - b) for a, b in zip(common, qubit["bloch_vectors"]["per_qubit"][0])) < 1e-12
+    assert abs(math.hypot(*common) - 1.0) < 1e-12
+    assert run_cli("analyze", str(css)) == 0
+    assert "exchange symmetric: no" in capsys.readouterr().out
+
+
 def test_generate_is_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -282,7 +307,35 @@ def test_sweep_to_missing_directory_exits_2(tmp_path, capsys):
 
 def test_sweep_rejects_nan_parameter(capsys):
     assert run_cli("sweep", "schmidt", "--start", "0", "--stop", "nan", "--points", "2") == 2
-    assert capsys.readouterr().err.startswith("error: state norm")
+    assert capsys.readouterr().err.startswith("error: --stop must be finite, got nan")
+
+
+def test_non_finite_parameters_exit_2_with_one_error_line(capsys):
+    cases = [
+        (["generate", "product", "--qubit", "inf,0"], "--qubit 'inf,0' is not finite"),
+        (["generate", "product", "--qubit", "0.5,nan"], "--qubit '0.5,nan' is not finite"),
+        (["generate", "twisted", "--n", "4", "--mu", "inf"], "twisting strength mu inf"),
+        (["generate", "twisted", "--n", "4", "--mu", "nan"], "twisting strength mu nan"),
+        (["generate", "twisted", "--n", "4", "--mu", "1e308"], "twisting strength mu 1e+308"),
+        (["generate", "css", "--n", "4", "--phi", "inf"], "azimuthal angle phi inf"),
+        (["sweep", "css", "--n", "4", "--start", "0", "--stop", "1", "--points", "2",
+          "--phi", "nan"], "azimuthal angle phi nan"),
+        (["sweep", "twisted", "--n", "4", "--start", "0", "--stop", "1e308", "--points", "2"],
+         "twisting strength mu 1e+308"),
+        (["sweep", "schmidt", "--start", "0", "--stop", "inf", "--points", "2"],
+         "--stop must be finite, got inf"),
+        (["sweep", "schmidt", "--start", "nan", "--stop", "1", "--points", "2"],
+         "--start must be finite, got nan"),
+        (["sweep", "schmidt", "--start=-1e308", "--stop", "1e308", "--points", "2"],
+         "--stop - --start overflows"),
+    ]
+    for argv, message in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would print before the error
+            assert run_cli(*argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, argv
+        assert err.startswith("error: " + message), err
 
 
 def test_sweep_points_are_bounded(capsys):

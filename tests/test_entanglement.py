@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spinsqueeze import (
+    DensityMatrix,
     PureState,
     ValidationError,
     Verdict,
@@ -16,6 +17,7 @@ from spinsqueeze import (
     product_state,
     random_separable_state,
     schmidt,
+    symmetric_moments,
     verify_identity_imp1,
     witness,
     xi_tilde_general,
@@ -120,6 +122,11 @@ def test_invariant_rejects_nonsymmetric():
     psi = product_state([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
     with pytest.raises(ValidationError):
         invariant_I(psi)
+    # one qubit has no pair: a ValidationError for every kind, not an IndexError
+    for one in (PureState(1, np.array([0.6, 0.8])), DensityMatrix(1, np.diag([0.7, 0.3])),
+                dicke_state(1, 0)):
+        with pytest.raises(ValidationError, match="at least 2 qubits"):
+            invariant_I(one)
 
 
 def test_invariant_is_invariant_under_identical_rotations(rng):
@@ -175,12 +182,13 @@ def test_sign_equivalence_on_symmetric_sample(rng):
 
 
 def test_perp_plus_eigenvalue_nonnegative_for_symmetric_states(rng):
-    from spinsqueeze.entanglement import _aligned_perp_eigenvalues, _bloch_and_pair
+    from spinsqueeze.entanglement import _aligned_perp_eigenvalues
 
     for _ in range(40):
         n = int(rng.integers(2, 7))
         s = symmetric_state_with_nonzero_bloch(n, rng)
-        bloch, t = _bloch_and_pair(s)
+        bloch, t = symmetric_moments(s)
+        t = (t + t.T) / 2
         _, t_plus, _ = _aligned_perp_eigenvalues(bloch, t)
         assert t_plus >= -1e-10
 

@@ -18,6 +18,7 @@ from spinsqueeze import (
     one_axis_twisted_state,
     pair_correlations,
     random_separable_state,
+    symmetric_moments,
 )
 from spinsqueeze import operators, reductions
 from spinsqueeze.cli import main
@@ -80,11 +81,17 @@ def test_stored_arrays_are_read_only():
     mean, second = dicke_moments(symmetric)
     pure = embed_symmetric(symmetric)
     svecs = bloch_vectors(pure)
-    for arr in (mean, second, svecs):
+    dicke_st = symmetric_moments(symmetric)
+    pure_st = symmetric_moments(pure)
+    pair = correlation_matrix(pure, 1, 2)
+    assert pair.shape == (3, 3)
+    for arr in (mean, second, svecs, pair, *dicke_st, *pure_st):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     assert dicke_moments(symmetric)[0] is mean
     assert bloch_vectors(pure) is svecs
+    assert symmetric_moments(symmetric) is dicke_st
+    assert symmetric_moments(pure) is pure_st
     # the public mean spin is a copy the caller may change
     total = operators.total_spin_expectation(symmetric)
     total[0] = 5.0
@@ -101,7 +108,7 @@ def test_pair_correlations_are_read_only_and_kept():
     for i in range(5):
         assert not table[i, i].any()
         for j in range(i + 1, 5):
-            assert np.array_equal(table[i, j], correlation_matrix(state, i + 1, j + 1).entries)
+            assert np.array_equal(table[i, j], correlation_matrix(state, i + 1, j + 1))
             assert np.array_equal(table[j, i], table[i, j].T)
 
 

@@ -4,19 +4,23 @@ import numpy as np
 import pytest
 
 from spinsqueeze import (
+    DensityMatrix,
+    MixtureTerm,
+    PureState,
     ValidationError,
     apply_local_unitaries,
     bloch_expectations,
     coherent_spin_state,
-    collective_to_pair_correlations,
     correlation_matrix,
     dicke_state,
     embed_symmetric,
     is_exchange_symmetric,
+    mix,
     one_axis_twisted_state,
     pair_correlation_sum,
     product_state,
     reduce,
+    symmetric_moments,
 )
 from spinsqueeze.sampling import (
     haar_pure_state,
@@ -70,7 +74,7 @@ def test_reduce_validates_indices():
 
 def test_correlation_matrix_schmidt_state():
     theta = 0.4
-    t = correlation_matrix(schmidt_state(theta), 1, 2).entries
+    t = correlation_matrix(schmidt_state(theta), 1, 2)
     c = math.sin(2 * theta)
     assert np.allclose(t, np.diag([c, -c, 1.0]), atol=1e-12)
 
@@ -81,7 +85,7 @@ def test_correlation_matrix_product_is_outer_product():
     psi = product_state([f1, f2])
     s1 = bloch_expectations(psi, 1)
     s2 = bloch_expectations(psi, 2)
-    t = correlation_matrix(psi, 1, 2).entries
+    t = correlation_matrix(psi, 1, 2)
     assert np.allclose(t, np.outer(s1, s2), atol=1e-12)
 
 
@@ -93,7 +97,7 @@ def test_correlation_matrix_rejects_equal_indices():
 def test_symmetric_two_qubit_trace_is_one(rng):
     for _ in range(20):
         s = random_symmetric_pure(2, rng)
-        t = correlation_matrix(embed_symmetric(s), 1, 2).entries
+        t = correlation_matrix(embed_symmetric(s), 1, 2)
         assert abs(np.trace(t) - 1.0) < 1e-10
 
 
@@ -104,8 +108,8 @@ def test_correlation_transformation_law(rng):
     for i, j in ((1, 2), (1, 3), (2, 3)):
         oi = su2_to_so3(lu.per_qubit[i - 1])
         oj = su2_to_so3(lu.per_qubit[j - 1])
-        before = correlation_matrix(state, i, j).entries
-        after = correlation_matrix(moved, i, j).entries
+        before = correlation_matrix(state, i, j)
+        after = correlation_matrix(moved, i, j)
         assert np.allclose(after, oi @ before @ oj.T, atol=1e-10)
 
 
@@ -120,8 +124,8 @@ def test_corotated_pair_scalar_is_invariant(rng):
         for i, j in ((1, 2), (2, 3)):
             oi = su2_to_so3(lu.per_qubit[i - 1])
             oj = su2_to_so3(lu.per_qubit[j - 1])
-            before = vecs[i - 1] @ correlation_matrix(state, i, j).entries @ vecs[j - 1]
-            after = (oi @ vecs[i - 1]) @ correlation_matrix(moved, i, j).entries @ (
+            before = vecs[i - 1] @ correlation_matrix(state, i, j) @ vecs[j - 1]
+            after = (oi @ vecs[i - 1]) @ correlation_matrix(moved, i, j) @ (
                 oj @ vecs[j - 1])
             assert abs(before - after) < 1e-10
 
@@ -136,7 +140,7 @@ def test_aggregate_s_single_pair_schmidt():
 def test_aggregate_s_symmetric_state_is_pair_multiple(rng):
     n = 5
     state = embed_symmetric(random_symmetric_pure(n, rng))
-    t = correlation_matrix(state, 1, 2).entries
+    t = correlation_matrix(state, 1, 2)
     s = pair_correlation_sum(state) / 2
     assert np.allclose(s, n * (n - 1) / 2 * (t + t.T) / 2, atol=1e-10)
 
@@ -152,31 +156,31 @@ def test_aggregate_s_product_of_identical_spinors():
 
 def test_all_pair_matrices_coincide_for_symmetric_states(rng):
     state = embed_symmetric(random_symmetric_pure(4, rng))
-    first = correlation_matrix(state, 1, 2).entries
+    first = correlation_matrix(state, 1, 2)
     for i, j in ((1, 3), (1, 4), (2, 3), (2, 4), (3, 4)):
-        assert np.allclose(correlation_matrix(state, i, j).entries, first, atol=1e-10)
+        assert np.allclose(correlation_matrix(state, i, j), first, atol=1e-10)
 
 
 def test_collective_to_pair_matches_full_vector_path(rng):
     for n in (2, 3, 4, 6, 8):
         s = random_symmetric_pure(n, rng)
-        fast = collective_to_pair_correlations(s).entries
-        slow = correlation_matrix(embed_symmetric(s), 1, 2).entries
+        fast = symmetric_moments(s)[1]
+        slow = correlation_matrix(embed_symmetric(s), 1, 2)
         assert np.allclose(fast, slow, atol=1e-10)
 
 
 def test_collective_to_pair_css_and_w_state(rng):
     css = coherent_spin_state(5, 1.0, 0.3)
-    fast = collective_to_pair_correlations(css).entries
-    slow = correlation_matrix(embed_symmetric(css), 1, 2).entries
+    fast = symmetric_moments(css)[1]
+    slow = correlation_matrix(embed_symmetric(css), 1, 2)
     assert np.allclose(fast, slow, atol=1e-10)
     w = dicke_state(3, 1)
-    assert np.allclose(collective_to_pair_correlations(w).entries,
-                       correlation_matrix(embed_symmetric(w), 1, 2).entries, atol=1e-10)
+    assert np.allclose(symmetric_moments(w)[1],
+                       correlation_matrix(embed_symmetric(w), 1, 2), atol=1e-10)
 
 
 def test_twisted_state_pair_correlations_have_unit_trace():
-    t = collective_to_pair_correlations(one_axis_twisted_state(10, 0.2)).entries
+    t = symmetric_moments(one_axis_twisted_state(10, 0.2))[1]
     assert abs(np.trace(t) - 1.0) < 1e-10
     assert np.allclose(t, t.T, atol=1e-12)
 
@@ -186,3 +190,14 @@ def test_exchange_symmetry_detection(rng):
     assert is_exchange_symmetric(ghz_state(3))
     asym = product_state([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
     assert not is_exchange_symmetric(asym)
+    haar = haar_pure_state(3, rng)
+    assert not is_exchange_symmetric(haar)
+    with pytest.raises(ValidationError, match="not exchange-symmetric"):
+        symmetric_moments(haar)
+    # a single qubit has no pair, whatever its kind
+    mixed = np.diag([0.7, 0.3])
+    for one in (PureState(1, np.array([0.6, 0.8])), DensityMatrix(1, mixed),
+                dicke_state(1, 1), mix([MixtureTerm(1.0, (mixed,))])):
+        assert is_exchange_symmetric(one) is False
+        with pytest.raises(ValidationError, match="at least 2 qubits"):
+            symmetric_moments(one)
