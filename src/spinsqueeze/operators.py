@@ -23,6 +23,9 @@ UNIT_TOL = 1e-12
 UNITARY_TOL = 1e-12
 DEGENERATE_AXIS_TOL = 1e-8
 
+# Dicke-basis operator rows held at once by dicke_moments: 6 MB at N = 2000.
+_DICKE_BLOCK_ROWS = 64
+
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
@@ -176,20 +179,34 @@ def bloch_vectors(state):
     return _once_per_state(state, "bloch_vectors", compute)
 
 
-def dicke_collective_operators(num_qubits):
-    """(J_x, J_y, J_z) on the (N+1)-dimensional Dicke basis, k = qubits in |0>.
+def _dicke_operator_rows(num_qubits, start, stop):
+    """Rows start..stop-1 of (J_x, J_y, J_z) on the Dicke basis, k = qubits in |0>.
 
-    Dense operators with their bands written in; J_+ maps k -> k+1 by sqrt((N-k)(k+1)).
+    A zeroed (3, stop - start, N+1) array with the bands written in; J_+ maps
+    k -> k+1 by sqrt((N-k)(k+1)).
     """
     n = num_qubits
-    k = np.arange(n + 1)
-    half = np.sqrt((n - k[:-1]) * (k[:-1] + 1)) / 2
-    jx, jy, jz = np.zeros((3, n + 1, n + 1), dtype=complex)
-    jz.real.flat[::n + 2] = k - n / 2
-    jx.real.flat[n + 1::n + 2] = half  # <k+1|J_x|k>
-    jx.real.flat[1::n + 2] = half
-    jy.imag.flat[n + 1::n + 2] = -half  # <k+1|J_y|k> = -i sqrt(...)/2
-    jy.imag.flat[1::n + 2] = half
+    rows = np.arange(start, stop)
+    at = rows - start
+    out = np.zeros((3, stop - start, n + 1), dtype=complex)
+    jx, jy, jz = out
+    jz.real[at, rows] = rows - n / 2
+    below = rows >= 1  # <k+1|J|k> with k = row - 1
+    k = rows[below] - 1
+    half = np.sqrt((n - k) * (k + 1)) / 2
+    jx.real[at[below], k] = half
+    jy.imag[at[below], k] = -half  # <k+1|J_y|k> = -i sqrt(...)/2
+    above = rows < n  # <k|J|k+1> with k = row
+    k = rows[above]
+    half = np.sqrt((n - k) * (k + 1)) / 2
+    jx.real[at[above], k + 1] = half
+    jy.imag[at[above], k + 1] = half
+    return out
+
+
+def dicke_collective_operators(num_qubits):
+    """(J_x, J_y, J_z) on the (N+1)-dimensional Dicke basis as dense operators."""
+    jx, jy, jz = _dicke_operator_rows(num_qubits, 0, num_qubits + 1)
     return jx, jy, jz
 
 
@@ -197,14 +214,19 @@ def dicke_moments(state):
     """First and second collective moments of a SymmetricState, computed once per state.
 
     Returns read-only arrays (mean, second) with mean_a = Re<d, J_a d> and
-    second_ab = Re<J_a d, J_b d> for the Dicke amplitudes d.
+    second_ab = Re<J_a d, J_b d> for the Dicke amplitudes d.  J_a d is
+    computed _DICKE_BLOCK_ROWS rows at a time: each entry is still one dot
+    product of a full operator row with d, so it has the dense product's bits.
     """
     if not isinstance(state, SymmetricState):
         raise ValidationError(f"dicke_moments needs a SymmetricState, got {type(state).__name__}")
 
     def compute():
         d = state.dicke_amplitudes
-        applied = [op @ d for op in dicke_collective_operators(state.num_qubits)]
+        dim = state.num_qubits + 1
+        applied = np.concatenate([
+            _dicke_operator_rows(state.num_qubits, start, min(start + _DICKE_BLOCK_ROWS, dim)) @ d
+            for start in range(0, dim, _DICKE_BLOCK_ROWS)], axis=1)
         mean = np.array([np.vdot(d, a).real for a in applied])
         second = np.array([[np.vdot(a, b).real for b in applied] for a in applied])
         mean.setflags(write=False)

@@ -36,15 +36,12 @@ def _fmt_float(x):
 
 
 def _render_complex_array(arr):
-    """A complex vector as [[re,im],...], or a matrix as rows of those, in one pass."""
+    """A complex vector as [[re,im],...], or a matrix as rows of those, in one % format."""
     if not np.isfinite(arr).all():
         raise ValidationError("cannot serialize non-finite numbers")
-    parts = [format(x, ".17g") for x in np.ascontiguousarray(arr).view(float).ravel().tolist()]
-    pairs = ["[" + re + "," + im + "]" for re, im in zip(parts[::2], parts[1::2])]
-    if arr.ndim == 2:
-        width = arr.shape[1]
-        pairs = ["[" + ",".join(pairs[i:i + width]) + "]" for i in range(0, len(pairs), width)]
-    return "[" + ",".join(pairs) + "]"
+    row = "[" + ",".join(["[%.17g,%.17g]"] * arr.shape[-1]) + "]"
+    template = row if arr.ndim == 1 else "[" + ",".join([row] * arr.shape[0]) + "]"
+    return template % tuple(np.ascontiguousarray(arr).view(float).ravel().tolist())
 
 
 def render_json(obj):

@@ -47,6 +47,18 @@ def _require_hermitian(mat, what):
     raise ValidationError(f"{what} is not Hermitian within tolerance")
 
 
+def _require_full_vector_capacity(n):
+    if n > FULL_VECTOR_MAX_QUBITS:
+        raise CapacityError(
+            f"full state vectors are limited to {FULL_VECTOR_MAX_QUBITS} qubits, got {n}")
+
+
+def _require_symmetric_capacity(n):
+    if n > SYMMETRIC_MAX_QUBITS:
+        raise CapacityError(
+            f"symmetric states are limited to {SYMMETRIC_MAX_QUBITS} qubits, got {n}")
+
+
 def _once_per_state(state, key, compute):
     """compute(), run on the first call for `state` and `key` and kept on it.
 
@@ -75,9 +87,7 @@ class PureState:
         n = self.num_qubits
         if n < 1:
             raise ValidationError("num_qubits must be >= 1")
-        if n > FULL_VECTOR_MAX_QUBITS:
-            raise CapacityError(
-                f"full state vectors are limited to {FULL_VECTOR_MAX_QUBITS} qubits, got {n}")
+        _require_full_vector_capacity(n)
         amps = _frozen_array(self, "amplitudes", self.amplitudes)
         if amps.shape != (2**n,):
             raise ValidationError(
@@ -135,9 +145,7 @@ class SymmetricState:
         n = self.num_qubits
         if n < 1:
             raise ValidationError("num_qubits must be >= 1")
-        if n > SYMMETRIC_MAX_QUBITS:
-            raise CapacityError(
-                f"symmetric states are limited to {SYMMETRIC_MAX_QUBITS} qubits, got {n}")
+        _require_symmetric_capacity(n)
         amps = _frozen_array(self, "dicke_amplitudes", self.dicke_amplitudes)
         if amps.shape != (n + 1,):
             raise ValidationError(
@@ -192,6 +200,7 @@ def coherent_spin_state(num_qubits, theta, phi):
         raise ValidationError(f"theta {theta!r} outside [0, pi]")
     if not math.isfinite(n * phi):
         raise ValidationError(f"azimuthal angle phi {phi!r} gives a non-finite phase N phi")
+    _require_symmetric_capacity(n)
     c = math.cos(theta / 2)
     s = math.sin(theta / 2)
     k = np.arange(n + 1)
@@ -217,6 +226,7 @@ def dicke_state(num_qubits, k):
         raise ValidationError("num_qubits must be >= 1")
     if not 0 <= k <= n:
         raise ValidationError(f"Dicke index {k!r} outside 0..{n}")
+    _require_symmetric_capacity(n)
     amps = np.zeros(n + 1, dtype=complex)
     amps[k] = 1.0
     return SymmetricState(n, amps)
@@ -234,6 +244,7 @@ def product_state(factors):
         if abs(np.linalg.norm(v) - 1.0) > NORM_TOL:
             raise ValidationError(f"factor {idx} is not normalized")
         vecs.append(v)
+    _require_full_vector_capacity(len(vecs))
     amps = vecs[0]
     for v in vecs[1:]:
         amps = np.kron(amps, v)
@@ -252,6 +263,7 @@ def one_axis_twisted_state(num_qubits, mu):
     if not math.isfinite(mu * (n / 2) ** 2):
         raise ValidationError(
             f"twisting strength mu {mu!r} gives a non-finite phase mu (k - N/2)^2")
+    _require_symmetric_capacity(n)
     base = coherent_spin_state(n, math.pi / 2, 0.0)
     k = np.arange(n + 1)
     amps = base.dicke_amplitudes * np.exp(-1j * mu * (k - n / 2) ** 2)

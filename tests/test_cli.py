@@ -4,6 +4,8 @@ import math
 import re
 import warnings
 
+import numpy as np
+
 from spinsqueeze.cli import SWEEP_MAX_POINTS, main
 
 
@@ -67,6 +69,16 @@ def test_generate_rejects_bad_parameters(capsys):
     assert run_cli("generate", "css", "--theta", "1.0") == 2
     assert "error:" in capsys.readouterr().err
     assert run_cli("generate", "dicke", "--n", "3", "--k", "9") == 2
+
+
+def test_generate_product_beyond_capacity_exits_2_without_building(monkeypatch, capsys):
+    def kron(*args):
+        raise AssertionError("built the product before the capacity guard")
+
+    monkeypatch.setattr(np, "kron", kron)
+    assert run_cli("generate", "product", *["--qubit=0.3,0.1"] * 28) == 2
+    assert capsys.readouterr().err == (
+        "error: full state vectors are limited to 20 qubits, got 28\n")
 
 
 def test_analyze_section3_product_state(tmp_path, capsys):

@@ -58,6 +58,7 @@ def fixture_states():
         "twisted50": one_axis_twisted_state(50, 0.02),
         "twisted500": one_axis_twisted_state(500, 0.003),
         "css300": coherent_spin_state(300, 1.2, 0.5),
+        "css2000": coherent_spin_state(2000, 1.1, 0.4),
         "dicke40-20": dicke_state(40, 20),
         "product8-identical": product_state([factor] * 8),
     }

@@ -1,5 +1,7 @@
 """Moments, Bloch vectors, pair tables and the symmetry verdict are computed once per state."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,29 +30,51 @@ from oracles import dense_collective_operators
 
 
 @pytest.fixture
-def operator_builds(monkeypatch):
-    """Counts calls of operators.dicke_collective_operators."""
+def row_blocks(monkeypatch):
+    """Records (num_qubits, start, stop) of every operators._dicke_operator_rows call."""
     calls = []
-    original = operators.dicke_collective_operators
+    original = operators._dicke_operator_rows
 
-    def counting(num_qubits):
-        calls.append(num_qubits)
-        return original(num_qubits)
+    def counting(num_qubits, start, stop):
+        calls.append((num_qubits, start, stop))
+        return original(num_qubits, start, stop)
 
-    monkeypatch.setattr(operators, "dicke_collective_operators", counting)
+    monkeypatch.setattr(operators, "_dicke_operator_rows", counting)
     return calls
 
 
-def test_analyze_builds_dicke_operators_once(operator_builds):
-    analyze_state(one_axis_twisted_state(50, 0.05))
-    assert operator_builds == [50]
+def _row_sweeps(calls, num_qubits):
+    """How many in-order sweeps over rows 0..N the recorded blocks make; no partial sweep."""
+    sweeps, expected = 0, 0
+    for n, start, stop in calls:
+        assert (n, start) == (num_qubits, expected) and start < stop
+        expected = stop
+        if stop == num_qubits + 1:
+            sweeps, expected = sweeps + 1, 0
+    assert expected == 0
+    return sweeps
 
 
-def test_sweep_builds_dicke_operators_once_per_row(operator_builds, capsys):
-    assert main(["sweep", "twisted", "--n", "50", "--start", "0.01", "--stop", "0.05",
+def test_analyze_builds_dicke_operators_once(row_blocks):
+    analyze_state(one_axis_twisted_state(150, 0.05))
+    assert _row_sweeps(row_blocks, 150) == 1
+    assert len(row_blocks) == 3
+
+
+def test_sweep_builds_dicke_operators_once_per_row(row_blocks, capsys):
+    assert main(["sweep", "twisted", "--n", "150", "--start", "0.01", "--stop", "0.05",
                  "--points", "3"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 4
-    assert operator_builds == [50, 50, 50]
+    assert _row_sweeps(row_blocks, 150) == 3
+    assert len(row_blocks) == 9
+
+
+def _dense_moments(state):
+    d = state.dicke_amplitudes
+    applied = [op @ d for op in dense_collective_operators(state.num_qubits)]
+    mean = [np.vdot(d, a).real for a in applied]
+    second = [[np.vdot(a, b).real for b in applied] for a in applied]
+    return mean, second
 
 
 def test_dicke_moments_match_the_operator_definition():
@@ -64,11 +88,43 @@ def test_dicke_moments_match_the_operator_definition():
 
 def test_dicke_moments_equal_the_dense_operator_moments_at_n2000():
     state = coherent_spin_state(2000, 1.1, 0.4)
-    d = state.dicke_amplitudes
-    applied = [op @ d for op in dense_collective_operators(2000)]
     mean, second = dicke_moments(state)
-    assert (mean == [np.vdot(d, a).real for a in applied]).all()
-    assert (second == [[np.vdot(a, b).real for b in applied] for a in applied]).all()
+    dense_mean, dense_second = _dense_moments(state)
+    assert (mean == dense_mean).all()
+    assert (second == dense_second).all()
+
+
+def _random_symmetric_state(n):
+    rng = np.random.default_rng(n)
+    d = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    return SymmetricState(n, d / np.linalg.norm(d))
+
+
+BLOCK_CASES = {f"random{n}": (lambda n=n: _random_symmetric_state(n))
+               for n in [*range(1, 71), 127, 128, 129, 500, 1999, 2000]}
+BLOCK_CASES["twisted2000"] = lambda: one_axis_twisted_state(2000, 0.01)
+
+
+@pytest.mark.parametrize("make", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
+def test_block_moments_equal_the_dense_operator_moments(make):
+    # one operator row is one dot product over every column, in blocks or not
+    state = make()
+    mean, second = dicke_moments(state)
+    dense_mean, dense_second = _dense_moments(state)
+    assert (mean == dense_mean).all()
+    assert (second == dense_second).all()
+
+
+def test_dicke_moments_never_hold_a_dense_operator():
+    state = coherent_spin_state(2000, 1.1, 0.4)
+    tracemalloc.start()
+    try:
+        dicke_moments(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one dense (N+1)^2 complex operator is 64 MB here; the three took a 192 MB peak
+    assert peak < 16e6
 
 
 def test_dicke_moments_reject_qubit_resolved_states():

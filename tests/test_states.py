@@ -122,6 +122,28 @@ def test_embed_capacity_guard():
         embed_symmetric(dicke_state(21, 0))
 
 
+UP = np.array([1.0, 0.0])
+
+
+def _allocation(*args, **kwargs):
+    raise AssertionError("allocated before the capacity guard")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: product_state([UP] * 28), "full state vectors are limited to 20 qubits, got 28"),
+    (lambda: coherent_spin_state(10**9, 1.0, 0.0),
+     "symmetric states are limited to 2000 qubits, got 1000000000"),
+    (lambda: one_axis_twisted_state(10**9, 1e-30),
+     "symmetric states are limited to 2000 qubits, got 1000000000"),
+    (lambda: dicke_state(10**9, 0), "symmetric states are limited to 2000 qubits, got 1000000000"),
+], ids=["product", "coherent", "twisted", "dicke"])
+def test_capacity_guard_comes_before_any_allocation(build, message, monkeypatch):
+    for name in ("kron", "arange", "zeros"):
+        monkeypatch.setattr(np, name, _allocation)
+    with pytest.raises(CapacityError, match=f"^{message}$"):
+        build()
+
+
 def test_mix_single_pure_term_is_projector():
     v = np.array([0.6, 0.8j])
     term = MixtureTerm(1.0, (np.outer(v, v.conj()), np.eye(2) / 2))
