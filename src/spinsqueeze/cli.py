@@ -37,6 +37,7 @@ from .states import (
 from .verification import SUITES, run_suite
 
 SWEEP_MAX_POINTS = 100_000
+GENERATE_MAX_TERMS = 1000
 
 
 def build_parser():
@@ -129,6 +130,8 @@ def _cmd_generate(args):
     else:  # random-separable
         _require(args.n is not None, "--n is required for random-separable")
         _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
+        _require(args.terms <= GENERATE_MAX_TERMS,
+                 f"--terms must be at most {GENERATE_MAX_TERMS}, got {args.terms}")
         state = random_separable_terms(args.n, args.terms, args.seed)
     text = dumps(state_to_document(state))
     _write_text(args.output, text)

@@ -25,7 +25,7 @@ from .errors import QubitBlochZeroError, ValidationError
 from .operators import alignment_rotation_matrix
 from .reductions import is_exchange_symmetric, symmetric_moments
 from .squeezing import _eigen_2x2, xi_tilde_general, xi_tilde_symmetric
-from .states import PureState
+from .states import PureState, _kept_per_state
 
 BLOCH_TOL = 1e-10
 WITNESS_TOL = 1e-9
@@ -107,8 +107,9 @@ def _aligned_perp_eigenvalues(s, t):
     return s0, half_sum + radius, half_sum - radius
 
 
+@_kept_per_state
 def invariant_I(state):
-    """Pair invariant I = eps_ijk eps_lmn s_i s_l t_jm t_kn of a symmetric state.
+    """Pair invariant I = eps_ijk eps_lmn s_i s_l t_jm t_kn of a symmetric state, kept per state.
 
     Computed two ways (direct double Levi-Civita contraction, and
     2 s0^2 t_plus t_minus in the aligned frame); the paths must agree within

@@ -179,34 +179,43 @@ def bloch_vectors(state):
     return _once_per_state(state, "bloch_vectors", compute)
 
 
-def _dicke_operator_rows(num_qubits, start, stop):
-    """Rows start..stop-1 of (J_x, J_y, J_z) on the Dicke basis, k = qubits in |0>.
+def _dicke_band_entries(num_qubits, start, stop):
+    """The nonzero entries of rows start..stop-1 of (J_x, J_y, J_z) on the Dicke basis.
 
-    A zeroed (3, stop - start, N+1) array with the bands written in; J_+ maps
+    Returns (index, values) for the float view of a (3, stop - start, N+1)
+    complex array: index is (operator, row - start, 2 column + part) with
+    part 0 real and 1 imaginary.  k counts qubits in |0>, and J_+ maps
     k -> k+1 by sqrt((N-k)(k+1)).
     """
     n = num_qubits
     rows = np.arange(start, stop)
     at = rows - start
-    out = np.zeros((3, stop - start, n + 1), dtype=complex)
-    jx, jy, jz = out
-    jz.real[at, rows] = rows - n / 2
     below = rows >= 1  # <k+1|J|k> with k = row - 1
-    k = rows[below] - 1
-    half = np.sqrt((n - k) * (k + 1)) / 2
-    jx.real[at[below], k] = half
-    jy.imag[at[below], k] = -half  # <k+1|J_y|k> = -i sqrt(...)/2
+    k_below = rows[below] - 1
+    half_below = np.sqrt((n - k_below) * (k_below + 1)) / 2
     above = rows < n  # <k|J|k+1> with k = row
-    k = rows[above]
-    half = np.sqrt((n - k) * (k + 1)) / 2
-    jx.real[at[above], k + 1] = half
-    jy.imag[at[above], k + 1] = half
-    return out
+    k_above = rows[above]
+    half_above = np.sqrt((n - k_above) * (k_above + 1)) / 2
+    bands = (  # operator, row offsets, float-view columns (2 column + part), values
+        (2, at, 2 * rows, rows - n / 2),
+        (0, at[below], 2 * k_below, half_below),
+        (1, at[below], 2 * k_below + 1, -half_below),  # <k+1|J_y|k> = -i sqrt(...)/2
+        (0, at[above], 2 * k_above + 2, half_above),
+        (1, at[above], 2 * k_above + 3, half_above),
+    )
+    ops, offsets, columns, values = zip(*bands)
+    index = (np.repeat(ops, [len(o) for o in offsets]),
+             np.concatenate(offsets), np.concatenate(columns))
+    return index, np.concatenate(values)
 
 
 def dicke_collective_operators(num_qubits):
     """(J_x, J_y, J_z) on the (N+1)-dimensional Dicke basis as dense operators."""
-    jx, jy, jz = _dicke_operator_rows(num_qubits, 0, num_qubits + 1)
+    dim = num_qubits + 1
+    ops = np.zeros((3, dim, dim), dtype=complex)
+    index, values = _dicke_band_entries(num_qubits, 0, dim)
+    ops.view(float)[index] = values
+    jx, jy, jz = ops
     return jx, jy, jz
 
 
@@ -215,8 +224,10 @@ def dicke_moments(state):
 
     Returns read-only arrays (mean, second) with mean_a = Re<d, J_a d> and
     second_ab = Re<J_a d, J_b d> for the Dicke amplitudes d.  J_a d is
-    computed _DICKE_BLOCK_ROWS rows at a time: each entry is still one dot
-    product of a full operator row with d, so it has the dense product's bits.
+    computed _DICKE_BLOCK_ROWS rows at a time in one zeroed block, whose band
+    entries are written before and cleared after each block's product: each
+    entry is still one dot product of a full operator row with d, so it has
+    the dense product's bits.
     """
     if not isinstance(state, SymmetricState):
         raise ValidationError(f"dicke_moments needs a SymmetricState, got {type(state).__name__}")
@@ -224,9 +235,15 @@ def dicke_moments(state):
     def compute():
         d = state.dicke_amplitudes
         dim = state.num_qubits + 1
-        applied = np.concatenate([
-            _dicke_operator_rows(state.num_qubits, start, min(start + _DICKE_BLOCK_ROWS, dim)) @ d
-            for start in range(0, dim, _DICKE_BLOCK_ROWS)], axis=1)
+        block = np.zeros((3, min(_DICKE_BLOCK_ROWS, dim), dim), dtype=complex)
+        floats = block.view(float)
+        applied = np.empty((3, dim), dtype=complex)
+        for start in range(0, dim, _DICKE_BLOCK_ROWS):
+            stop = min(start + _DICKE_BLOCK_ROWS, dim)
+            index, values = _dicke_band_entries(state.num_qubits, start, stop)
+            floats[index] = values
+            applied[:, start:stop] = block[:, :stop - start] @ d
+            floats[index] = 0.0
         mean = np.array([np.vdot(d, a).real for a in applied])
         second = np.array([[np.vdot(a, b).real for b in applied] for a in applied])
         mean.setflags(write=False)

@@ -36,7 +36,7 @@ from .operators import (
     unit,
 )
 from .reductions import pair_correlation_sum, pair_correlations, symmetric_moments
-from .states import SymmetricState, embed_symmetric
+from .states import SymmetricState, _kept_per_state, embed_symmetric
 
 MEAN_SPIN_TOL = 1e-10
 BLOCH_TOL = 1e-10
@@ -161,8 +161,9 @@ def xi_standard(state):
         xi1=xi1, xi2=xi2, min_variance=min_var, optimal_angle=angle, mean_J0=j_norm)
 
 
+@_kept_per_state
 def xi_tilde_symmetric(state):
-    """Local-frame parameters for an exchange-symmetric state (closed form).
+    """Local-frame parameters for an exchange-symmetric state (closed form), kept per state.
 
     xi1_tilde = sqrt(1 + (N-1) min_perp(n^T T n)) with the perpendicular plane
     orthogonal to the common Bloch direction; xi2_tilde = xi1_tilde / s0.
@@ -185,8 +186,9 @@ def xi_tilde_symmetric(state):
         mean_J0=0.5 * n * s0)
 
 
+@_kept_per_state
 def xi_tilde_general(state):
-    """Local-frame parameters by the common-orientation procedure.
+    """Local-frame parameters by the common-orientation procedure, kept per state.
 
     With R_i the minimal-angle rotation taking qubit i's Bloch vector to +z,
     the aligned pair sum S = (1/2) sum_{i != j} R_i T^(ij) R_j^T is read off

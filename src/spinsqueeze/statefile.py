@@ -16,6 +16,7 @@ serialize is byte-identical at double precision.
 """
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -24,9 +25,28 @@ from .states import DensityMatrix, MixtureTerm, PureState, SymmetricState, mix
 
 FORMAT_VERSION = "1"
 KINDS = ("pure", "density", "symmetric", "mixture")
-# json.loads gives exactly int or float for a number; the types are compared
+
+
+class _HugeInt:
+    """An integer literal with more digits than int() converts (sys.get_int_max_str_digits).
+
+    No double holds it, so it converts to float as every integer beyond the
+    double range does: with OverflowError.
+    """
+
+    def __init__(self, digits):
+        self.digits = digits
+
+    def __float__(self):
+        raise OverflowError("int too large to convert to float")
+
+    def __repr__(self):
+        return f"<integer of {self.digits} digits>"
+
+
+# loads gives exactly int, float or _HugeInt for a number; the types are compared
 # exactly because JSON true and false load as bool, a subclass of int.
-JSON_NUMBER_TYPES = (int, float)
+JSON_NUMBER_TYPES = frozenset({int, float, _HugeInt})
 
 
 def _fmt_float(x):
@@ -109,9 +129,18 @@ def dumps(document):
     return render_json(document) + "\n"
 
 
+def _parse_int(text):
+    if text == "-0":  # dumps writes a negative zero as -0
+        return -0.0
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        return _HugeInt(len(text.lstrip("-")))
+
+
 def loads(text):
-    """Parse state-file text; "-0", which dumps writes for a negative zero, stays -0.0."""
-    return json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+    """Parse state-file text; "-0" stays -0.0, and an integer too long for int() is a _HugeInt."""
+    return json.loads(text, parse_int=_parse_int)
 
 
 def _field(doc, name, kind=None):
@@ -121,18 +150,34 @@ def _field(doc, name, kind=None):
     return doc[name]
 
 
-def _parse_complex(value, field_name):
-    if (not isinstance(value, list) or len(value) != 2
-            or type(value[0]) not in JSON_NUMBER_TYPES
-            or type(value[1]) not in JSON_NUMBER_TYPES):
-        raise ValidationError(f"field {field_name!r} must contain [re, im] pairs")
-    return complex(value[0], value[1])
+def _too_large(where):
+    return ValidationError(f"{where} holds an integer too large for a float")
+
+
+def _complex_array(pairs, shape, field_name):
+    """The [re, im] lists `pairs` as a complex array of `shape`.
+
+    The type and length checks run over whole lists at C level, and
+    np.array(..., dtype=float) rounds each number as float() does, so every
+    entry has the bits of complex(re, im), -0.0 included.
+    """
+    not_pairs = ValidationError(f"field {field_name!r} must contain [re, im] pairs")
+    if (not all(issubclass(t, list) for t in set(map(type, pairs)))
+            or not set(map(len, pairs)) <= {2}):
+        raise not_pairs
+    numbers = list(chain.from_iterable(pairs))
+    if not set(map(type, numbers)) <= JSON_NUMBER_TYPES:
+        raise not_pairs
+    try:
+        return np.array(numbers, dtype=float).view(complex).reshape(shape)
+    except OverflowError:
+        raise _too_large(f"field {field_name!r}") from None
 
 
 def _parse_complex_vector(raw, field_name):
     if not isinstance(raw, list):
         raise ValidationError(f"field {field_name!r} must be a list")
-    return np.array([_parse_complex(v, field_name) for v in raw], dtype=complex)
+    return _complex_array(raw, (len(raw),), field_name)
 
 
 def _parse_complex_matrix(raw, field_name):
@@ -140,8 +185,8 @@ def _parse_complex_matrix(raw, field_name):
         raise ValidationError(f"field {field_name!r} must be a list of rows")
     if len({len(r) for r in raw}) > 1:
         raise ValidationError(f"field {field_name!r} has rows of different lengths")
-    return np.array([[_parse_complex(v, field_name) for v in row] for row in raw],
-                    dtype=complex)
+    shape = (len(raw), len(raw[0])) if raw else (0,)
+    return _complex_array(list(chain.from_iterable(raw)), shape, field_name)
 
 
 @np.errstate(over="ignore")  # entries near 1e308 overflow the norm and trace checks
@@ -183,11 +228,15 @@ def document_to_state(doc):
         weight = _field(raw, "weight")
         if type(weight) not in JSON_NUMBER_TYPES:
             raise ValidationError(f"term {idx} field 'weight' must be a number")
+        try:
+            weight = float(weight)
+        except OverflowError:
+            raise _too_large(f"term {idx} field 'weight'") from None
         factors = _field(raw, "factors")
         if not isinstance(factors, list) or len(factors) != n:
             raise ValidationError(f"term {idx} must carry {n} factors")
         mats = tuple(_parse_complex_matrix(f, f"terms[{idx}].factors") for f in factors)
-        terms.append(MixtureTerm(float(weight), mats))
+        terms.append(MixtureTerm(weight, mats))
     return terms
 
 

@@ -10,6 +10,7 @@ Conventions used throughout the package:
   qubits in |0>.  k = 0 is |1>^N and k = N is |0>^N.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,6 +54,12 @@ def _require_full_vector_capacity(n):
             f"full state vectors are limited to {FULL_VECTOR_MAX_QUBITS} qubits, got {n}")
 
 
+def _require_density_capacity(n):
+    if n > DENSITY_MAX_QUBITS:
+        raise CapacityError(
+            f"density matrices are limited to {DENSITY_MAX_QUBITS} qubits, got {n}")
+
+
 def _require_symmetric_capacity(n):
     if n > SYMMETRIC_MAX_QUBITS:
         raise CapacityError(
@@ -74,6 +81,20 @@ def _once_per_state(state, key, compute):
     if key not in kept:
         kept[key] = compute()
     return kept[key]
+
+
+def _kept_per_state(func):
+    """Decorate func(state) so that it runs once per state, its value kept by _once_per_state.
+
+    The value is kept under the function's name and must be immutable.  A
+    first call runs the wrapper's __wrapped__, the undecorated function, so a
+    test can count the computations by replacing it.
+    """
+    @functools.wraps(func)
+    def kept(state):
+        return _once_per_state(state, func.__name__, lambda: kept.__wrapped__(state))
+
+    return kept
 
 
 @dataclass(frozen=True)
@@ -112,9 +133,7 @@ class DensityMatrix:
         n = self.num_qubits
         if n < 1:
             raise ValidationError("num_qubits must be >= 1")
-        if n > DENSITY_MAX_QUBITS:
-            raise CapacityError(
-                f"density matrices are limited to {DENSITY_MAX_QUBITS} qubits, got {n}")
+        _require_density_capacity(n)
         mat = _frozen_array(self, "matrix", self.matrix)
         dim = 2**n
         if mat.shape != (dim, dim):
@@ -300,9 +319,7 @@ def mix(terms):
     total = sum(t.weight for t in terms)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ValidationError(f"mixture weights sum to {total!r}, not 1")
-    if n > DENSITY_MAX_QUBITS:
-        raise CapacityError(
-            f"density matrices are limited to {DENSITY_MAX_QUBITS} qubits, got {n}")
+    _require_density_capacity(n)
     rho = np.zeros((2**n, 2**n), dtype=complex)
     for t in terms:
         prod = np.array([[t.weight]], dtype=complex)
@@ -315,12 +332,16 @@ def mix(terms):
 
 
 def random_separable_terms(num_qubits, num_terms, seed):
-    """Dirichlet-weighted products of Haar-random single-qubit pure states."""
+    """Dirichlet-weighted products of Haar-random single-qubit pure states.
+
+    N is bounded by DENSITY_MAX_QUBITS, as for every mixture that is analyzed.
+    """
     n = int(num_qubits)
     if n < 2:
         raise ValidationError("separable sampling needs at least 2 qubits")
     if num_terms < 1:
         raise ValidationError("num_terms must be >= 1")
+    _require_density_capacity(n)
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(num_terms))
     terms = []

@@ -3,9 +3,10 @@
 They work on the full state vector or density matrix, not on the moment
 layer: collective moments for arbitrary per-qubit frames, the SU(2) to SO(3)
 map, and the local-frame aligned pair sum evaluated by rotating the state.
-Two more rebuild earlier constructions the package must match bit for bit:
-the Dicke-basis operators by dense matrix arithmetic, and state-file
-documents as nested lists of Python floats.
+More rebuild earlier constructions the package must match bit for bit:
+the Dicke-basis operators by dense matrix arithmetic, state-file documents
+as nested lists of Python floats, and the parse of their [re, im] arrays one
+Python complex per entry.
 """
 
 import math
@@ -32,6 +33,9 @@ from spinsqueeze.operators import (
     _apply_pure,
 )
 from spinsqueeze.statefile import FORMAT_VERSION
+
+# The number types json.loads gives; bool, a subclass of int, is not one of them.
+_JSON_NUMBER_TYPES = (int, float)
 
 
 def su2_to_so3(u):
@@ -186,3 +190,28 @@ def list_state_document(state):
     return {**head, "kind": "mixture", "num_qubits": state[0].num_qubits,
             "terms": [{"weight": t.weight, "factors": [complex_rows(f) for f in t.factors]}
                       for t in state]}
+
+
+def _parse_complex(value, field_name):
+    if (not isinstance(value, list) or len(value) != 2
+            or type(value[0]) not in _JSON_NUMBER_TYPES
+            or type(value[1]) not in _JSON_NUMBER_TYPES):
+        raise ValidationError(f"field {field_name!r} must contain [re, im] pairs")
+    return complex(value[0], value[1])
+
+
+def parse_complex_vector(raw, field_name):
+    """A state file's [[re, im], ...] field, one Python complex per entry."""
+    if not isinstance(raw, list):
+        raise ValidationError(f"field {field_name!r} must be a list")
+    return np.array([_parse_complex(v, field_name) for v in raw], dtype=complex)
+
+
+def parse_complex_matrix(raw, field_name):
+    """A state file's rows of [re, im] lists, one Python complex per entry."""
+    if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
+        raise ValidationError(f"field {field_name!r} must be a list of rows")
+    if len({len(r) for r in raw}) > 1:
+        raise ValidationError(f"field {field_name!r} has rows of different lengths")
+    return np.array([[_parse_complex(v, field_name) for v in row] for row in raw],
+                    dtype=complex)

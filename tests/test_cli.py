@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 
-from spinsqueeze.cli import SWEEP_MAX_POINTS, main
+from spinsqueeze.cli import GENERATE_MAX_TERMS, SWEEP_MAX_POINTS, main
 
 
 def run_cli(*argv):
@@ -213,6 +213,72 @@ def test_analyze_rejects_overflowing_entries_with_one_error_line(tmp_path, capsy
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: " + message)
+
+
+def _integer_too_large_for_a_float_files(digits):
+    big = "1" + "0" * digits
+    return {
+        "amplitudes": '{"format_version": "1", "kind": "pure", "num_qubits": 1, '
+                      f'"amplitudes": [[{big}, 0], [0, 0]]}}',
+        "dicke_amplitudes": '{"format_version": "1", "kind": "symmetric", "num_qubits": 1, '
+                            f'"dicke_amplitudes": [[1, 0], [0, -{big}]]}}',
+        "matrix": '{"format_version": "1", "kind": "density", "num_qubits": 1, '
+                  f'"matrix": [[[1, 0], [0, 0]], [[0, 0], [{big}, 0]]]}}',
+        "terms[0].factors": '{"format_version": "1", "kind": "mixture", "num_qubits": 1, '
+                            f'"terms": [{{"weight": 1, "factors": [[[[{big}, 0], [0, 0]], '
+                            '[[0, 0], [0, 0]]]]}]}',
+        "term 0 field 'weight'": '{"format_version": "1", "kind": "mixture", "num_qubits": 1, '
+                                 f'"terms": [{{"weight": {big}, "factors": [[[[1, 0], [0, 0]], '
+                                 '[[0, 0], [0, 0]]]]}]}',
+    }
+
+
+def test_analyze_rejects_integers_too_large_for_a_float(tmp_path, capsys):
+    # 400 digits overflow a double; 5000 are more than int() converts from a string
+    for digits in (400, 5000):
+        for field, text in _integer_too_large_for_a_float_files(digits).items():
+            bad = tmp_path / "big.json"
+            bad.write_text(text)
+            assert run_cli("analyze", str(bad)) == 2
+            where = field if field.startswith("term ") else f"field {field!r}"
+            assert capsys.readouterr().err == (
+                f"error: {where} holds an integer too large for a float\n")
+
+
+def test_analyze_names_fields_with_integers_too_long_to_convert(tmp_path, capsys):
+    files = {
+        "field 'num_qubits' must be a positive integer":
+            '{"format_version": "1", "kind": "pure", "num_qubits": 1' + "0" * 5000
+            + ', "amplitudes": [[1, 0], [0, 0]]}',
+        "unsupported format_version <integer of 5001 digits> (expected '1')":
+            '{"format_version": 1' + "0" * 5000 + ', "kind": "pure", "num_qubits": 1}',
+    }
+    for message, text in files.items():
+        bad = tmp_path / "long.json"
+        bad.write_text(text)
+        assert run_cli("analyze", str(bad)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_generate_random_separable_refuses_more_qubits_than_analyze_reads(monkeypatch, capsys):
+    def default_rng(*args):
+        raise AssertionError("sampled before the capacity guard")
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    for n in ("11", "1000000"):
+        assert run_cli("generate", "random-separable", "--n", n) == 2
+        assert capsys.readouterr().err == (
+            f"error: density matrices are limited to 10 qubits, got {n}\n")
+
+
+def test_generate_random_separable_terms_are_bounded(capsys):
+    assert run_cli("generate", "random-separable", "--n", "2",
+                   "--terms", str(GENERATE_MAX_TERMS + 1)) == 2
+    assert capsys.readouterr().err == (
+        f"error: --terms must be at most {GENERATE_MAX_TERMS}, got {GENERATE_MAX_TERMS + 1}\n")
+    assert run_cli("generate", "random-separable", "--n", "2",
+                   "--terms", str(GENERATE_MAX_TERMS)) == 0
+    assert capsys.readouterr().out.count('"weight"') == GENERATE_MAX_TERMS
 
 
 def test_generate_rejects_negative_seed(capsys):

@@ -22,7 +22,7 @@ from spinsqueeze import (
     random_separable_state,
     symmetric_moments,
 )
-from spinsqueeze import operators, reductions
+from spinsqueeze import entanglement, operators, reductions, squeezing
 from spinsqueeze.cli import main
 from spinsqueeze.sampling import haar_pure_state
 
@@ -31,15 +31,15 @@ from oracles import dense_collective_operators
 
 @pytest.fixture
 def row_blocks(monkeypatch):
-    """Records (num_qubits, start, stop) of every operators._dicke_operator_rows call."""
+    """Records (num_qubits, start, stop) of every band write, operators._dicke_band_entries."""
     calls = []
-    original = operators._dicke_operator_rows
+    original = operators._dicke_band_entries
 
     def counting(num_qubits, start, stop):
         calls.append((num_qubits, start, stop))
         return original(num_qubits, start, stop)
 
-    monkeypatch.setattr(operators, "_dicke_operator_rows", counting)
+    monkeypatch.setattr(operators, "_dicke_band_entries", counting)
     return calls
 
 
@@ -67,6 +67,49 @@ def test_sweep_builds_dicke_operators_once_per_row(row_blocks, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 4
     assert _row_sweeps(row_blocks, 150) == 3
     assert len(row_blocks) == 9
+
+
+LOCAL_FRAME_RESULTS = [(squeezing, "xi_tilde_symmetric"), (squeezing, "xi_tilde_general"),
+                       (entanglement, "invariant_I")]
+
+
+@pytest.fixture
+def local_frame_computations(monkeypatch):
+    """Counts the computations behind each kept local-frame result, by name."""
+    counts = {name: 0 for _, name in LOCAL_FRAME_RESULTS}
+    for module, name in LOCAL_FRAME_RESULTS:
+        kept = getattr(module, name)
+
+        def counting(state, compute=kept.__wrapped__, name=name):
+            counts[name] += 1
+            return compute(state)
+
+        monkeypatch.setattr(kept, "__wrapped__", counting)
+    return counts
+
+
+@pytest.mark.parametrize("make, expected", [
+    (lambda: one_axis_twisted_state(8, 0.3), (1, 1, 1)),
+    (lambda: one_axis_twisted_state(50, 0.05), (1, 0, 1)),
+    (lambda: embed_symmetric(one_axis_twisted_state(5, 0.2)), (1, 1, 1)),
+    (lambda: haar_pure_state(5, np.random.default_rng(11)), (0, 1, 0)),
+    (lambda: random_separable_state(4, 3, seed=4), (0, 1, 0)),
+], ids=["symmetric8", "symmetric50", "embedded5", "haar5", "separable4"])
+def test_analyze_computes_each_local_frame_result_once(make, expected, local_frame_computations):
+    # the report, the witness and the identity check read the same kept results
+    analyze_state(make())
+    assert tuple(local_frame_computations.values()) == expected
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["twisted", "--n", "6"], (3, 0, 3)),
+    (["schmidt"], (3, 0, 3)),
+], ids=["twisted", "schmidt"])
+def test_sweep_computes_each_local_frame_result_once_per_row(
+        argv, expected, local_frame_computations, capsys):
+    assert main(["sweep", *argv, "--start", "0.1", "--stop", "0.3", "--points", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    assert tuple(local_frame_computations.values()) == expected
 
 
 def _dense_moments(state):

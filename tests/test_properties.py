@@ -9,10 +9,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinsqueeze import ValidationError
-from spinsqueeze.statefile import document_to_state, dumps, loads, realize, state_to_document
+from spinsqueeze.statefile import (
+    _parse_complex_matrix,
+    _parse_complex_vector,
+    document_to_state,
+    dumps,
+    loads,
+    realize,
+    state_to_document,
+)
 from spinsqueeze.states import DensityMatrix, MixtureTerm, PureState, SymmetricState
 
-from oracles import list_state_document
+from oracles import list_state_document, parse_complex_matrix, parse_complex_vector
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -134,3 +142,69 @@ def test_a_ragged_matrix_is_rejected(state, index):
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="rows of different lengths"):
             realize(document_to_state(doc))
+
+
+# Every float and integer a double holds, with the edge values by name, and
+# entries the parse must refuse: pairs of length 1 or 3, pairs holding a bool,
+# a string, null or a list, and entries that are not lists.
+_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**1023), 2**1023),
+    st.sampled_from([-0.0, 0, 5e-324, -5e-324, 1e308, -1e308, 2**53 + 1, -(2**64) - 1]))
+_junk = st.one_of(st.booleans(), st.text(max_size=2), st.none(), st.lists(_numbers, max_size=1))
+_pairs = st.lists(_numbers, min_size=2, max_size=2)
+_bad_entries = st.one_of(
+    st.lists(_numbers, min_size=1, max_size=1),
+    st.lists(_numbers, min_size=3, max_size=3),
+    st.tuples(_numbers, _junk).map(list),
+    st.tuples(_junk, _numbers).map(list),
+    _junk)
+
+
+@st.composite
+def _vectors(draw):
+    entries = draw(st.lists(_pairs, max_size=8))
+    if draw(st.booleans()):
+        entries.insert(draw(st.integers(0, len(entries))), draw(_bad_entries))
+    return entries
+
+
+@st.composite
+def _matrices(draw):
+    shape = draw(st.sampled_from(["rectangular", "one bad entry", "ragged", "bad row", "empty"]))
+    if shape == "empty":
+        return draw(st.sampled_from([[], [[]], [[], []]]))
+    if shape == "ragged":
+        return draw(st.lists(st.lists(_pairs, max_size=3), min_size=2, max_size=3))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    matrix = [[draw(_pairs) for _ in range(cols)] for _ in range(rows)]
+    if shape == "one bad entry":
+        matrix[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(_bad_entries)
+    elif shape == "bad row":
+        matrix[draw(st.integers(0, rows - 1))] = draw(_junk)
+    return matrix
+
+
+def _assert_same_parse(parse, oracle, raw):
+    try:
+        expected = oracle(raw, "field")
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            parse(raw, "field")
+        assert str(got.value) == str(exc)
+        return
+    parsed = parse(raw, "field")
+    assert parsed.dtype == expected.dtype and parsed.shape == expected.shape
+    assert parsed.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_vectors(), _junk))
+def test_vector_parse_equals_the_per_entry_parse(raw):
+    _assert_same_parse(_parse_complex_vector, parse_complex_vector, raw)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_matrices(), _junk))
+def test_matrix_parse_equals_the_per_entry_parse(raw):
+    _assert_same_parse(_parse_complex_matrix, parse_complex_matrix, raw)
