@@ -169,10 +169,16 @@ def bloch_expectations(state, qubit_index):
 
 
 def bloch_vectors(state):
-    """All N Bloch vectors as a read-only (N, 3) array, computed once per state."""
+    """All N Bloch vectors as a read-only (N, 3) array, computed once per state.
+
+    Every qubit of a SymmetricState has the common vector s = 2 <J> / N.
+    """
     def compute():
-        svecs = np.stack([
-            bloch_expectations(state, q) for q in range(1, state.num_qubits + 1)])
+        n = state.num_qubits
+        if isinstance(state, SymmetricState):
+            svecs = np.tile(2.0 * dicke_moments(state)[0] / n, (n, 1))
+        else:
+            svecs = np.stack([bloch_expectations(state, q) for q in range(1, n + 1)])
         svecs.setflags(write=False)
         return svecs
 

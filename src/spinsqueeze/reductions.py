@@ -6,7 +6,13 @@ import numpy as np
 
 from .errors import ValidationError
 from .operators import IDENTITY2, PAULIS, bloch_vectors, dicke_moments
-from .states import DensityMatrix, PureState, SymmetricState, _once_per_state
+from .states import (
+    DensityMatrix,
+    PureState,
+    SymmetricState,
+    _once_per_state,
+    _require_full_vector_capacity,
+)
 
 ENTRY_TOL = 1e-10
 SYMMETRY_TOL = 1e-8
@@ -69,16 +75,18 @@ def correlation_matrix(state, i, j):
 
 
 def pair_correlations(state):
-    """All pair correlation matrices of a qubit-resolved state, computed once per state.
+    """All pair correlation matrices of a state of at most 20 qubits, computed once per state.
 
     Returns a read-only (N, N, 3, 3) array with table[i, j] = T^(i+1, j+1),
-    table[j, i] its transpose and a zero diagonal.
+    table[j, i] its transpose and a zero diagonal.  All pairs of a SymmetricState share T.
     """
     def compute():
         n = state.num_qubits
+        _require_full_vector_capacity(n)
         table = np.zeros((n, n, 3, 3))
         for i, j in combinations(range(n), 2):
-            t = correlation_matrix(state, i + 1, j + 1)
+            t = (symmetric_moments(state)[1] if isinstance(state, SymmetricState)
+                 else correlation_matrix(state, i + 1, j + 1))
             table[i, j] = t
             table[j, i] = t.T
         table.setflags(write=False)
@@ -113,15 +121,8 @@ def symmetric_moments(state):
             if not is_exchange_symmetric(state):
                 raise ValidationError("state is not exchange-symmetric within tolerance")
             return bloch_vectors(state)[0], pair_correlations(state)[0, 1]
-        mean, second = dicke_moments(state)
-        s = 2.0 * mean / n
-        s.setflags(write=False)
-        t = np.empty((3, 3))
-        for a in range(3):
-            for b in range(3):
-                anticomm = 2 * second[a, b]
-                t[a, b] = (2 * anticomm - (n if a == b else 0)) / (n * (n - 1))
-        return s, _clipped(t)
+        t = (4 * dicke_moments(state)[1] - n * np.eye(3)) / (n * (n - 1))
+        return bloch_vectors(state)[0], _clipped(t)
 
     return _once_per_state(state, "symmetric_moments", compute)
 

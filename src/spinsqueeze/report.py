@@ -7,7 +7,7 @@ from itertools import combinations
 from ._version import __version__
 from .entanglement import concurrence_pure, verify_identity_imp1, witness
 from .errors import QubitBlochZeroError
-from .operators import bloch_vectors, total_spin_expectation
+from .operators import bloch_vectors
 from .reductions import is_exchange_symmetric, pair_correlations, symmetric_moments
 from .squeezing import (
     brute_force_min_variance,
@@ -119,8 +119,7 @@ def analyze_state(state, source_path=None, source_bytes=None, input_kind=None):
 
 def _bloch_section(state):
     if isinstance(state, SymmetricState):
-        s = 2.0 * total_spin_expectation(state) / state.num_qubits
-        return {"common": [float(x) for x in s]}
+        return {"common": [float(x) for x in bloch_vectors(state)[0]]}
     return {"per_qubit": [[float(x) for x in row] for row in bloch_vectors(state)]}
 
 

@@ -57,11 +57,10 @@ def pure_state_with_nonzero_bloch(num_qubits, rng, min_bloch=1e-3, max_tries=200
 
 def symmetric_state_with_nonzero_bloch(num_qubits, rng, min_bloch=1e-3, max_tries=200):
     """Random symmetric pure state with a usable common Bloch vector."""
-    from .operators import total_spin_expectation
+    from .operators import bloch_vectors
 
     for _ in range(max_tries):
         state = random_symmetric_pure(num_qubits, rng)
-        s0 = 2.0 * np.linalg.norm(total_spin_expectation(state)) / num_qubits
-        if s0 >= min_bloch:
+        if np.linalg.norm(bloch_vectors(state)[0]) >= min_bloch:
             return state
     raise RuntimeError("failed to sample a symmetric state with nonzero Bloch vector")

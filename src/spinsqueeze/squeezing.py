@@ -36,7 +36,7 @@ from .operators import (
     unit,
 )
 from .reductions import pair_correlation_sum, pair_correlations, symmetric_moments
-from .states import SymmetricState, _kept_per_state, embed_symmetric
+from .states import SymmetricState, _kept_per_state
 
 MEAN_SPIN_TOL = 1e-10
 BLOCH_TOL = 1e-10
@@ -136,10 +136,9 @@ def _collective_covariance(state):
     if isinstance(state, SymmetricState):
         mean, second = dicke_moments(state)
         second = (second + second.T) / 2
-        return mean, second - np.outer(mean, mean), n
-    mean = total_spin_expectation(state)
-    pair_sum = pair_correlation_sum(state) if n >= 2 else np.zeros((3, 3))
-    second = 0.25 * (n * np.eye(3) + pair_sum)
+    else:
+        mean = total_spin_expectation(state)
+        second = 0.25 * (n * np.eye(3) + pair_correlation_sum(state))
     return mean, second - np.outer(mean, mean), n
 
 
@@ -203,16 +202,15 @@ def xi_tilde_general(state):
     degenerate below 16 eps N(N-1).  Undefined (QubitBlochZero) when any
     qubit has a vanishing Bloch vector.
     """
-    if isinstance(state, SymmetricState):
-        state = embed_symmetric(state)
     n = state.num_qubits
+    table = pair_correlations(state)  # refuses N > 20 before any Bloch vector check
     svecs = bloch_vectors(state)
     norms = np.linalg.norm(svecs, axis=1)
     if norms.min() <= BLOCH_TOL:
         return SqueezingResult(undefined_reason=UndefinedReason.QUBIT_BLOCH_ZERO)
     mean_j0 = 0.5 * float(norms.sum())
     rotations = np.stack([alignment_rotation_matrix(s) for s in svecs])
-    s_mat = 0.5 * np.einsum("iab,ijbc,jdc->ad", rotations, pair_correlations(state), rotations)
+    s_mat = 0.5 * np.einsum("iab,ijbc,jdc->ad", rotations, table, rotations)
     degenerate = 16 * np.finfo(float).eps * n * (n - 1)
     value, angle = _min_quadratic_2x2(s_mat[0, 0], s_mat[1, 1], s_mat[0, 1], degenerate)
     min_var = max(0.0, 0.25 * (n + 2 * value))
@@ -228,11 +226,11 @@ class _VarianceObjective:
 
     def __init__(self, state):
         n = state.num_qubits
+        table = pair_correlations(state)  # refuses N > 20 before any Bloch vector check
         svecs = bloch_vectors(state)
         frames = [complete_frame(unit(s)) for s in svecs]
         basis = np.stack([
             np.stack([f.n_perp.components, f.n_perp_prime.components]) for f in frames])
-        table = pair_correlations(state)
         self.num_qubits = n
         # per-qubit Bloch vector projected on its perpendicular plane
         self.s2 = np.einsum("qab,qb->qa", basis, svecs)
@@ -293,8 +291,6 @@ def brute_force_min_variance(state):
     found.  This searches the unrestricted problem, so the result is a lower
     bound on any common-direction evaluation.
     """
-    if isinstance(state, SymmetricState):
-        state = embed_symmetric(state)
     n = state.num_qubits
     objective = _VarianceObjective(state)
     step = 2 * math.pi / SEARCH_RESOLUTION

@@ -297,9 +297,7 @@ def embed_symmetric(state):
     C(N,k) basis states with k zero bits.
     """
     n = state.num_qubits
-    if n > FULL_VECTOR_MAX_QUBITS:
-        raise CapacityError(
-            f"cannot embed {n} qubits into a full vector (limit {FULL_VECTOR_MAX_QUBITS})")
+    _require_full_vector_capacity(n)
     indices = np.arange(2**n, dtype=np.uint32)
     ones = np.bitwise_count(indices).astype(np.int64)
     k = n - ones

@@ -53,6 +53,8 @@ def fixture_states():
         "pure2": haar_pure_state(2, np.random.default_rng(101)),
         "pure8": haar_pure_state(8, np.random.default_rng(108)),
         "twisted8-embedded": embed_symmetric(one_axis_twisted_state(8, 0.15)),
+        "twisted5": one_axis_twisted_state(5, 0.2),
+        "twisted12": one_axis_twisted_state(12, 0.1),
         "separable7": random_separable_state(7, 4, 207),
         "symmix7": random_symmetric_mixture(7, 3, np.random.default_rng(307)),
         "twisted50": one_axis_twisted_state(50, 0.02),

@@ -1,5 +1,6 @@
 """Moments, Bloch vectors, pair tables and the symmetry verdict are computed once per state."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ from spinsqueeze import (
     random_separable_state,
     symmetric_moments,
 )
-from spinsqueeze import entanglement, operators, reductions, squeezing
+from spinsqueeze import entanglement, operators, reductions, squeezing, states
 from spinsqueeze.cli import main
 from spinsqueeze.sampling import haar_pure_state
 
@@ -178,16 +179,18 @@ def test_dicke_moments_reject_qubit_resolved_states():
 def test_stored_arrays_are_read_only():
     symmetric = one_axis_twisted_state(8, 0.2)
     mean, second = dicke_moments(symmetric)
+    dicke_svecs = bloch_vectors(symmetric)
     pure = embed_symmetric(symmetric)
     svecs = bloch_vectors(pure)
     dicke_st = symmetric_moments(symmetric)
     pure_st = symmetric_moments(pure)
     pair = correlation_matrix(pure, 1, 2)
     assert pair.shape == (3, 3)
-    for arr in (mean, second, svecs, pair, *dicke_st, *pure_st):
+    for arr in (mean, second, dicke_svecs, svecs, pair, *dicke_st, *pure_st):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     assert dicke_moments(symmetric)[0] is mean
+    assert bloch_vectors(symmetric) is dicke_svecs
     assert bloch_vectors(pure) is svecs
     assert symmetric_moments(symmetric) is dicke_st
     assert symmetric_moments(pure) is pure_st
@@ -198,17 +201,20 @@ def test_stored_arrays_are_read_only():
 
 
 def test_pair_correlations_are_read_only_and_kept():
-    state = haar_pure_state(5, np.random.default_rng(3))
-    table = pair_correlations(state)
-    assert table.shape == (5, 5, 3, 3)
-    with pytest.raises(ValueError):
-        table[0, 1, 0, 0] = 0.0
-    assert pair_correlations(state) is table
-    for i in range(5):
-        assert not table[i, i].any()
-        for j in range(i + 1, 5):
-            assert np.array_equal(table[i, j], correlation_matrix(state, i + 1, j + 1))
-            assert np.array_equal(table[j, i], table[i, j].T)
+    haar = haar_pure_state(5, np.random.default_rng(3))
+    symmetric = one_axis_twisted_state(5, 0.3)
+    for state, pair in ((haar, lambda i, j: correlation_matrix(haar, i + 1, j + 1)),
+                        (symmetric, lambda i, j: symmetric_moments(symmetric)[1])):
+        table = pair_correlations(state)
+        assert table.shape == (5, 5, 3, 3)
+        with pytest.raises(ValueError):
+            table[0, 1, 0, 0] = 0.0
+        assert pair_correlations(state) is table
+        for i in range(5):
+            assert not table[i, i].any()
+            for j in range(i + 1, 5):
+                assert np.array_equal(table[i, j], pair(i, j))
+                assert np.array_equal(table[j, i], table[i, j].T)
 
 
 @pytest.mark.parametrize("make, symmetric", [
@@ -254,6 +260,34 @@ def test_analyze_takes_each_pair_reduction_once(monkeypatch):
     assert all(target is state for target, _ in reduced)
     assert sorted(tuple(subset) for _, subset in reduced) == [
         (i, j) for i in range(1, 9) for j in range(i + 1, 9)]
+
+
+@pytest.mark.parametrize("run", [
+    lambda: analyze_state(one_axis_twisted_state(5, 0.2)),
+    lambda: analyze_state(coherent_spin_state(6, 1.1, 0.4)),
+    lambda: main(["sweep", "twisted", "--n", "5", "--start", "0.1", "--stop", "0.3",
+                  "--points", "3"]) == 0,
+], ids=["analyze-twisted5", "analyze-css6", "sweep-twisted5"])
+def test_symmetric_analysis_never_embeds_or_reduces(run, monkeypatch):
+    # a SymmetricState's Bloch vectors and pair table come from its Dicke
+    # moments: no 2^N vector is built and no partial trace is taken
+    calls = []
+    embed, original_reduce = states.embed_symmetric, reductions.reduce
+
+    def counting_embed(state):
+        calls.append("embed_symmetric")
+        return embed(state)
+
+    def counting_reduce(target, subset):
+        calls.append("reduce")
+        return original_reduce(target, subset)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spinsqueeze") and getattr(module, "embed_symmetric", None) is embed:
+            monkeypatch.setattr(module, "embed_symmetric", counting_embed)
+    monkeypatch.setattr(reductions, "reduce", counting_reduce)
+    assert run()
+    assert calls == []
 
 
 def _fresh_copy(state):

@@ -10,6 +10,7 @@ from spinsqueeze import (
     ValidationError,
     apply_local_unitaries,
     bloch_expectations,
+    bloch_vectors,
     coherent_spin_state,
     correlation_matrix,
     dicke_state,
@@ -18,6 +19,7 @@ from spinsqueeze import (
     mix,
     one_axis_twisted_state,
     pair_correlation_sum,
+    pair_correlations,
     product_state,
     reduce,
     symmetric_moments,
@@ -162,11 +164,21 @@ def test_all_pair_matrices_coincide_for_symmetric_states(rng):
 
 
 def test_collective_to_pair_matches_full_vector_path(rng):
-    for n in (2, 3, 4, 6, 8):
-        s = random_symmetric_pure(n, rng)
-        fast = symmetric_moments(s)[1]
-        slow = correlation_matrix(embed_symmetric(s), 1, 2)
-        assert np.allclose(fast, slow, atol=1e-10)
+    # a SymmetricState's Bloch vectors and pair table, read off its Dicke
+    # moments, equal those of its full-vector embedding; the last state of
+    # each even N has a zero Bloch vector
+    for n in range(1, 9):
+        states = [random_symmetric_pure(n, rng), coherent_spin_state(n, 1.0, 0.3),
+                  dicke_state(n, 1), dicke_state(n, n // 2)]
+        if n >= 2:
+            states.insert(0, one_axis_twisted_state(n, 0.2))
+        for s in states:
+            full = embed_symmetric(s)
+            assert np.max(np.abs(bloch_vectors(s) - bloch_vectors(full))) <= 1e-12
+            assert np.max(np.abs(pair_correlations(s) - pair_correlations(full))) <= 1e-12
+            if n >= 2:
+                slow = correlation_matrix(full, 1, 2)
+                assert np.allclose(symmetric_moments(s)[1], slow, atol=1e-10)
 
 
 def test_collective_to_pair_css_and_w_state(rng):

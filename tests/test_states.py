@@ -12,13 +12,16 @@ from spinsqueeze import (
     PureState,
     SymmetricState,
     ValidationError,
+    brute_force_min_variance,
     coherent_spin_state,
     dicke_state,
     embed_symmetric,
     mix,
     one_axis_twisted_state,
+    pair_correlations,
     product_state,
     random_separable_state,
+    xi_tilde_general,
 )
 
 
@@ -118,8 +121,14 @@ def test_embed_is_permutation_invariant(rng):
 
 
 def test_embed_capacity_guard():
-    with pytest.raises(CapacityError):
-        embed_symmetric(dicke_state(21, 0))
+    # the embedding and every pair-resolved quantity of a SymmetricState
+    # share the full-vector limit, also where the Bloch vector vanishes
+    for n, k in ((21, 0), (22, 11)):
+        message = f"^full state vectors are limited to 20 qubits, got {n}$"
+        for consumer in (embed_symmetric, pair_correlations, xi_tilde_general,
+                         brute_force_min_variance):
+            with pytest.raises(CapacityError, match=message):
+                consumer(dicke_state(n, k))
 
 
 UP = np.array([1.0, 0.0])
