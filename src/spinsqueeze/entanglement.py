@@ -24,10 +24,9 @@ import numpy as np
 from .errors import QubitBlochZeroError, ValidationError
 from .operators import alignment_rotation_matrix
 from .reductions import is_exchange_symmetric, symmetric_moments
-from .squeezing import _eigen_2x2, xi_tilde_general, xi_tilde_symmetric
+from .squeezing import BLOCH_TOL, _eigen_2x2, xi_tilde_general, xi_tilde_symmetric
 from .states import PureState, _kept_per_state
 
-BLOCH_TOL = 1e-10
 WITNESS_TOL = 1e-9
 DUAL_PATH_TOL = 1e-9
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .states import DensityMatrix, PureState, SymmetricState, _once_per_state
+from .states import DensityMatrix, PureState, SymmetricState, _kept_per_state
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -168,21 +168,19 @@ def bloch_expectations(state, qubit_index):
     raise ValidationError(f"cannot take Bloch expectations of {type(state).__name__}")
 
 
+@_kept_per_state
 def bloch_vectors(state):
-    """All N Bloch vectors as a read-only (N, 3) array, computed once per state.
+    """All N Bloch vectors as a read-only (N, 3) array, kept per state.
 
     Every qubit of a SymmetricState has the common vector s = 2 <J> / N.
     """
-    def compute():
-        n = state.num_qubits
-        if isinstance(state, SymmetricState):
-            svecs = np.tile(2.0 * dicke_moments(state)[0] / n, (n, 1))
-        else:
-            svecs = np.stack([bloch_expectations(state, q) for q in range(1, n + 1)])
-        svecs.setflags(write=False)
-        return svecs
-
-    return _once_per_state(state, "bloch_vectors", compute)
+    n = state.num_qubits
+    if isinstance(state, SymmetricState):
+        svecs = np.tile(2.0 * dicke_moments(state)[0] / n, (n, 1))
+    else:
+        svecs = np.stack([bloch_expectations(state, q) for q in range(1, n + 1)])
+    svecs.setflags(write=False)
+    return svecs
 
 
 def _dicke_band_entries(num_qubits, start, stop):
@@ -225,8 +223,9 @@ def dicke_collective_operators(num_qubits):
     return jx, jy, jz
 
 
+@_kept_per_state
 def dicke_moments(state):
-    """First and second collective moments of a SymmetricState, computed once per state.
+    """First and second collective moments of a SymmetricState, kept per state.
 
     Returns read-only arrays (mean, second) with mean_a = Re<d, J_a d> and
     second_ab = Re<J_a d, J_b d> for the Dicke amplitudes d.  J_a d is
@@ -237,26 +236,22 @@ def dicke_moments(state):
     """
     if not isinstance(state, SymmetricState):
         raise ValidationError(f"dicke_moments needs a SymmetricState, got {type(state).__name__}")
-
-    def compute():
-        d = state.dicke_amplitudes
-        dim = state.num_qubits + 1
-        block = np.zeros((3, min(_DICKE_BLOCK_ROWS, dim), dim), dtype=complex)
-        floats = block.view(float)
-        applied = np.empty((3, dim), dtype=complex)
-        for start in range(0, dim, _DICKE_BLOCK_ROWS):
-            stop = min(start + _DICKE_BLOCK_ROWS, dim)
-            index, values = _dicke_band_entries(state.num_qubits, start, stop)
-            floats[index] = values
-            applied[:, start:stop] = block[:, :stop - start] @ d
-            floats[index] = 0.0
-        mean = np.array([np.vdot(d, a).real for a in applied])
-        second = np.array([[np.vdot(a, b).real for b in applied] for a in applied])
-        mean.setflags(write=False)
-        second.setflags(write=False)
-        return mean, second
-
-    return _once_per_state(state, "dicke_moments", compute)
+    d = state.dicke_amplitudes
+    dim = state.num_qubits + 1
+    block = np.zeros((3, min(_DICKE_BLOCK_ROWS, dim), dim), dtype=complex)
+    floats = block.view(float)
+    applied = np.empty((3, dim), dtype=complex)
+    for start in range(0, dim, _DICKE_BLOCK_ROWS):
+        stop = min(start + _DICKE_BLOCK_ROWS, dim)
+        index, values = _dicke_band_entries(state.num_qubits, start, stop)
+        floats[index] = values
+        applied[:, start:stop] = block[:, :stop - start] @ d
+        floats[index] = 0.0
+    mean = np.array([np.vdot(d, a).real for a in applied])
+    second = np.array([[np.vdot(a, b).real for b in applied] for a in applied])
+    mean.setflags(write=False)
+    second.setflags(write=False)
+    return mean, second
 
 
 def total_spin_expectation(state):

@@ -10,7 +10,7 @@ from .states import (
     DensityMatrix,
     PureState,
     SymmetricState,
-    _once_per_state,
+    _kept_per_state,
     _require_full_vector_capacity,
 )
 
@@ -74,25 +74,23 @@ def correlation_matrix(state, i, j):
     return _clipped(np.einsum("ab,xyba->xy", rho, PAIR_PAULIS).real)
 
 
+@_kept_per_state
 def pair_correlations(state):
-    """All pair correlation matrices of a state of at most 20 qubits, computed once per state.
+    """All pair correlation matrices of a state of at most 20 qubits, kept per state.
 
     Returns a read-only (N, N, 3, 3) array with table[i, j] = T^(i+1, j+1),
     table[j, i] its transpose and a zero diagonal.  All pairs of a SymmetricState share T.
     """
-    def compute():
-        n = state.num_qubits
-        _require_full_vector_capacity(n)
-        table = np.zeros((n, n, 3, 3))
-        for i, j in combinations(range(n), 2):
-            t = (symmetric_moments(state)[1] if isinstance(state, SymmetricState)
-                 else correlation_matrix(state, i + 1, j + 1))
-            table[i, j] = t
-            table[j, i] = t.T
-        table.setflags(write=False)
-        return table
-
-    return _once_per_state(state, "pair_correlations", compute)
+    n = state.num_qubits
+    _require_full_vector_capacity(n)
+    table = np.zeros((n, n, 3, 3))
+    for i, j in combinations(range(n), 2):
+        t = (symmetric_moments(state)[1] if isinstance(state, SymmetricState)
+             else correlation_matrix(state, i + 1, j + 1))
+        table[i, j] = t
+        table[j, i] = t.T
+    table.setflags(write=False)
+    return table
 
 
 def pair_correlation_sum(state):
@@ -105,6 +103,7 @@ def pair_correlation_sum(state):
     return total
 
 
+@_kept_per_state
 def symmetric_moments(state):
     """(s, T): the common Bloch vector and pair correlation matrix of an exchange-symmetric state.
 
@@ -113,30 +112,28 @@ def symmetric_moments(state):
     reads qubit 1's Bloch vector and the (1, 2) entry of its pair table.  T is
     not symmetrised.  Both arrays are read-only and kept on the state.
     """
-    def compute():
-        n = state.num_qubits
-        if n < 2:
-            raise ValidationError("pair correlations need at least 2 qubits")
-        if not isinstance(state, SymmetricState):
-            if not is_exchange_symmetric(state):
-                raise ValidationError("state is not exchange-symmetric within tolerance")
-            return bloch_vectors(state)[0], pair_correlations(state)[0, 1]
-        t = (4 * dicke_moments(state)[1] - n * np.eye(3)) / (n * (n - 1))
-        return bloch_vectors(state)[0], _clipped(t)
-
-    return _once_per_state(state, "symmetric_moments", compute)
+    n = state.num_qubits
+    if n < 2:
+        raise ValidationError("pair correlations need at least 2 qubits")
+    if not isinstance(state, SymmetricState):
+        if not is_exchange_symmetric(state):
+            raise ValidationError("state is not exchange-symmetric within tolerance")
+        return bloch_vectors(state)[0], pair_correlations(state)[0, 1]
+    t = (4 * dicke_moments(state)[1] - n * np.eye(3)) / (n * (n - 1))
+    return bloch_vectors(state)[0], _clipped(t)
 
 
+@_kept_per_state
 def is_exchange_symmetric(state):
-    """Operational symmetry test: all pair reductions equal and swap-invariant.
+    """Operational symmetry test: all pair reductions equal and swap-invariant, kept per state.
 
-    The reductions are rebuilt from the moment layer; the verdict is kept on the state.
+    The reductions are rebuilt from the moment layer.
     """
     if state.num_qubits < 2:
         return False  # a single qubit has no pair
     if isinstance(state, SymmetricState):
         return True
-    return _once_per_state(state, "exchange_symmetric", lambda: _pair_reductions_agree(state))
+    return _pair_reductions_agree(state)
 
 
 def _pair_density(svecs, table, i, j):

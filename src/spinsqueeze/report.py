@@ -10,17 +10,14 @@ from .errors import QubitBlochZeroError
 from .operators import bloch_vectors
 from .reductions import is_exchange_symmetric, pair_correlations, symmetric_moments
 from .squeezing import (
+    _pair_sum_rounding,
     brute_force_min_variance,
     xi_standard,
     xi_tilde_general,
     xi_tilde_symmetric,
 )
-from .states import (
-    DensityMatrix,
-    FULL_VECTOR_MAX_QUBITS,
-    PureState,
-    SymmetricState,
-)
+from .statefile import state_kind
+from .states import FULL_VECTOR_MAX_QUBITS, PureState, SymmetricState
 
 BRUTE_FORCE_MAX_QUBITS = 6
 
@@ -40,13 +37,10 @@ def _squeezing_dict(result):
 
 
 def _state_kind(state):
-    if isinstance(state, PureState):
-        return "pure"
-    if isinstance(state, DensityMatrix):
-        return "density"
-    if isinstance(state, SymmetricState):
-        return "symmetric"
-    raise TypeError(f"cannot analyze {type(state).__name__}")
+    kind = state_kind(state)
+    if kind is None:
+        raise TypeError(f"cannot analyze {type(state).__name__}")
+    return kind
 
 
 def analyze_state(state, source_path=None, source_bytes=None, input_kind=None):
@@ -140,7 +134,8 @@ def _oracle_section(state, general_result):
 
     The two coincide for pure two-qubit states and in the strongly squeezed
     regime; elsewhere the independent-angle value can be lower, so both are
-    reported.
+    reported.  A difference within the closed form's rounding bound,
+    16 eps N(N-1), is reported as 0.0.
     """
     if general_result.min_variance is None:
         return {"skipped": general_result.undefined_reason.value
@@ -149,10 +144,13 @@ def _oracle_section(state, general_result):
         return {"skipped": "state too large for the independent-angle search"}
     independent = brute_force_min_variance(state)
     closed = general_result.min_variance
+    difference = closed - independent
+    if abs(difference) <= _pair_sum_rounding(state.num_qubits):
+        difference = 0.0
     return {
         "common_direction_min_variance": closed,
         "independent_angle_min_variance": independent,
-        "difference": closed - independent,
+        "difference": difference,
     }
 
 

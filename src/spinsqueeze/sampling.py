@@ -2,8 +2,11 @@
 
 import numpy as np
 
-from .operators import LocalUnitary
+from .operators import LocalUnitary, bloch_vectors
 from .states import DensityMatrix, PureState, SymmetricState, embed_symmetric
+
+MIN_BLOCH = 1e-3  # Bloch norm every qubit of a *_with_nonzero_bloch sample reaches
+MAX_TRIES = 200
 
 
 def haar_pure_state(num_qubits, rng):
@@ -43,24 +46,22 @@ def random_symmetric_mixture(num_qubits, num_terms, rng):
     return DensityMatrix(num_qubits, rho / np.trace(rho).real)
 
 
-def pure_state_with_nonzero_bloch(num_qubits, rng, min_bloch=1e-3, max_tries=200):
-    """Haar-random pure state whose qubits all have Bloch norm >= min_bloch."""
-    from .operators import bloch_vectors
-
-    for _ in range(max_tries):
-        state = haar_pure_state(num_qubits, rng)
-        norms = np.linalg.norm(bloch_vectors(state), axis=1)
-        if norms.min() >= min_bloch:
+def _with_nonzero_bloch(draw, what):
+    """The first of up to MAX_TRIES states from draw() whose qubits all have Bloch norm >= MIN_BLOCH."""
+    for _ in range(MAX_TRIES):
+        state = draw()
+        if np.linalg.norm(bloch_vectors(state), axis=1).min() >= MIN_BLOCH:
             return state
-    raise RuntimeError("failed to sample a state with nonzero Bloch vectors")
+    raise RuntimeError(f"failed to sample {what}")
 
 
-def symmetric_state_with_nonzero_bloch(num_qubits, rng, min_bloch=1e-3, max_tries=200):
+def pure_state_with_nonzero_bloch(num_qubits, rng):
+    """Haar-random pure state whose qubits all have Bloch norm >= MIN_BLOCH."""
+    return _with_nonzero_bloch(lambda: haar_pure_state(num_qubits, rng),
+                               "a state with nonzero Bloch vectors")
+
+
+def symmetric_state_with_nonzero_bloch(num_qubits, rng):
     """Random symmetric pure state with a usable common Bloch vector."""
-    from .operators import bloch_vectors
-
-    for _ in range(max_tries):
-        state = random_symmetric_pure(num_qubits, rng)
-        if np.linalg.norm(bloch_vectors(state)[0]) >= min_bloch:
-            return state
-    raise RuntimeError("failed to sample a symmetric state with nonzero Bloch vector")
+    return _with_nonzero_bloch(lambda: random_symmetric_pure(num_qubits, rng),
+                               "a symmetric state with nonzero Bloch vector")

@@ -104,18 +104,12 @@ def _min_quadratic_2x2(b11, b22, b12, degenerate):
 
 
 def _frame_block_min(matrix, n0):
-    """(min value, optimal angle, frame) of the perpendicular block of `matrix`."""
-    m = np.asarray(matrix, dtype=float)
-    if m.shape != (3, 3):
-        raise ValidationError(f"expected a 3x3 matrix, got {m.shape}")
-    if np.max(np.abs(m - m.T)) > 1e-10:
-        raise ValidationError("matrix must be symmetric")
-    m = (m + m.T) / 2
+    """(min value, optimal angle, frame) of the perpendicular block of a symmetric 3x3 `matrix`."""
     frame = complete_frame(n0)
     e1 = frame.n_perp.components
     e2 = frame.n_perp_prime.components
     value, angle = _min_quadratic_2x2(
-        e1 @ m @ e1, e2 @ m @ e2, e1 @ m @ e2, FRAME_DEGENERATE_RADIUS)
+        e1 @ matrix @ e1, e2 @ matrix @ e2, e1 @ matrix @ e2, FRAME_DEGENERATE_RADIUS)
     return value, angle, frame
 
 
@@ -124,7 +118,12 @@ def quadratic_form_min(matrix, n0):
 
     M must be real symmetric.  Returns (value, minimizing Direction).
     """
-    value, angle, frame = _frame_block_min(matrix, n0)
+    m = np.asarray(matrix, dtype=float)
+    if m.shape != (3, 3):
+        raise ValidationError(f"expected a 3x3 matrix, got {m.shape}")
+    if np.max(np.abs(m - m.T)) > 1e-10:
+        raise ValidationError("matrix must be symmetric")
+    value, angle, frame = _frame_block_min((m + m.T) / 2, n0)
     direction = (math.cos(angle) * frame.n_perp.components
                  + math.sin(angle) * frame.n_perp_prime.components)
     return value, Direction(direction / np.linalg.norm(direction))
@@ -185,6 +184,11 @@ def xi_tilde_symmetric(state):
         mean_J0=0.5 * n * s0)
 
 
+def _pair_sum_rounding(n):
+    """16 eps N(N-1): a rounding bound on a sum of N(N-1) entries of magnitude at most 1."""
+    return 16 * np.finfo(float).eps * n * (n - 1)
+
+
 @_kept_per_state
 def xi_tilde_general(state):
     """Local-frame parameters by the common-orientation procedure, kept per state.
@@ -211,8 +215,8 @@ def xi_tilde_general(state):
     mean_j0 = 0.5 * float(norms.sum())
     rotations = np.stack([alignment_rotation_matrix(s) for s in svecs])
     s_mat = 0.5 * np.einsum("iab,ijbc,jdc->ad", rotations, table, rotations)
-    degenerate = 16 * np.finfo(float).eps * n * (n - 1)
-    value, angle = _min_quadratic_2x2(s_mat[0, 0], s_mat[1, 1], s_mat[0, 1], degenerate)
+    value, angle = _min_quadratic_2x2(
+        s_mat[0, 0], s_mat[1, 1], s_mat[0, 1], _pair_sum_rounding(n))
     min_var = max(0.0, 0.25 * (n + 2 * value))
     xi1t = math.sqrt(max(0.0, 1.0 + (2.0 / n) * value))
     xi2t = math.sqrt(n) * math.sqrt(min_var) / mean_j0
@@ -264,14 +268,15 @@ class _VarianceObjective:
 
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
+_GOLDEN_ITERATIONS = 60
 
 
-def _golden_refine(func, lo, hi, iterations=60):
+def _golden_refine(func, lo, hi):
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = func(c), func(d)
-    for _ in range(iterations):
+    for _ in range(_GOLDEN_ITERATIONS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)

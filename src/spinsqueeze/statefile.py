@@ -24,7 +24,14 @@ from .errors import ValidationError
 from .states import DensityMatrix, MixtureTerm, PureState, SymmetricState, mix
 
 FORMAT_VERSION = "1"
-KINDS = ("pure", "density", "symmetric", "mixture")
+# kind -> (state class, document field holding its complex array); the
+# fourth kind, "mixture", holds a list of MixtureTerms
+ARRAY_KINDS = {
+    "pure": (PureState, "amplitudes"),
+    "density": (DensityMatrix, "matrix"),
+    "symmetric": (SymmetricState, "dicke_amplitudes"),
+}
+KINDS = (*ARRAY_KINDS, "mixture")
 
 
 class _HugeInt:
@@ -86,28 +93,24 @@ def render_json(obj):
     raise ValidationError(f"cannot serialize {type(obj).__name__}")
 
 
+def state_kind(state):
+    """The file kind of a PureState, DensityMatrix or SymmetricState, else None."""
+    for kind, (cls, _name) in ARRAY_KINDS.items():
+        if isinstance(state, cls):
+            return kind
+    return None
+
+
 def state_to_document(state):
     """Build the document, holding the state's complex arrays, for a state or MixtureTerms."""
-    if isinstance(state, PureState):
+    kind = state_kind(state)
+    if kind is not None:
+        name = ARRAY_KINDS[kind][1]
         return {
             "format_version": FORMAT_VERSION,
-            "kind": "pure",
+            "kind": kind,
             "num_qubits": state.num_qubits,
-            "amplitudes": state.amplitudes,
-        }
-    if isinstance(state, DensityMatrix):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "density",
-            "num_qubits": state.num_qubits,
-            "matrix": state.matrix,
-        }
-    if isinstance(state, SymmetricState):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "symmetric",
-            "num_qubits": state.num_qubits,
-            "dicke_amplitudes": state.dicke_amplitudes,
+            name: getattr(state, name),
         }
     if isinstance(state, (list, tuple)) and all(isinstance(t, MixtureTerm) for t in state):
         terms = list(state)
@@ -208,16 +211,10 @@ def document_to_state(doc):
     n = _field(doc, "num_qubits")
     if type(n) is not int or n < 1:
         raise ValidationError("field 'num_qubits' must be a positive integer")
-    if kind == "pure":
-        amps = _parse_complex_vector(_field(doc, "amplitudes", kind), "amplitudes")
-        return PureState(n, amps)
-    if kind == "density":
-        mat = _parse_complex_matrix(_field(doc, "matrix", kind), "matrix")
-        return DensityMatrix(n, mat)
-    if kind == "symmetric":
-        amps = _parse_complex_vector(
-            _field(doc, "dicke_amplitudes", kind), "dicke_amplitudes")
-        return SymmetricState(n, amps)
+    if kind in ARRAY_KINDS:
+        cls, name = ARRAY_KINDS[kind]
+        parse = _parse_complex_matrix if kind == "density" else _parse_complex_vector
+        return cls(n, parse(_field(doc, name, kind), name))
     raw_terms = _field(doc, "terms", kind)
     if not isinstance(raw_terms, list) or not raw_terms:
         raise ValidationError("field 'terms' must be a non-empty list")

@@ -28,8 +28,8 @@ DENSITY_MAX_QUBITS = 10
 SYMMETRIC_MAX_QUBITS = 2000
 
 
-def _frozen_array(obj, name, value, dtype=complex):
-    arr = np.array(value, dtype=dtype)
+def _frozen_array(obj, name, value):
+    arr = np.array(value, dtype=complex)
     arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
     return arr
@@ -66,33 +66,24 @@ def _require_symmetric_capacity(n):
             f"symmetric states are limited to {SYMMETRIC_MAX_QUBITS} qubits, got {n}")
 
 
-def _once_per_state(state, key, compute):
-    """compute(), run on the first call for `state` and `key` and kept on it.
-
-    The value lives in a dict attribute of the (frozen) instance, so it dies
-    with the state and is never shared between states.  States cannot change
-    after validation, so a kept value never goes stale.  Arrays in the value
-    must be read-only, since every caller gets the same objects.
-    """
-    kept = state.__dict__.get("_kept")
-    if kept is None:
-        kept = {}
-        object.__setattr__(state, "_kept", kept)
-    if key not in kept:
-        kept[key] = compute()
-    return kept[key]
-
-
 def _kept_per_state(func):
-    """Decorate func(state) so that it runs once per state, its value kept by _once_per_state.
+    """Decorate func(state) so that it runs once per state and its value is kept on the state.
 
-    The value is kept under the function's name and must be immutable.  A
-    first call runs the wrapper's __wrapped__, the undecorated function, so a
-    test can count the computations by replacing it.
+    The value lives in a dict attribute of the (frozen) instance, under the
+    function's name, so it dies with the state and is never shared between
+    states.  States cannot change after validation, so a kept value never
+    goes stale.  Arrays in the value must be read-only, since every caller
+    gets the same objects.  A first call runs the wrapper's __wrapped__, the
+    undecorated function, so a test can count the computations by replacing it.
     """
+    name = func.__name__
+
     @functools.wraps(func)
     def kept(state):
-        return _once_per_state(state, func.__name__, lambda: kept.__wrapped__(state))
+        values = state.__dict__.setdefault("_kept", {})  # past the frozen __setattr__
+        if name not in values:
+            values[name] = kept.__wrapped__(state)
+        return values[name]
 
     return kept
 

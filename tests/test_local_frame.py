@@ -12,6 +12,7 @@ import pytest
 
 from spinsqueeze import (
     DensityMatrix,
+    analyze_state,
     bloch_vectors,
     embed_symmetric,
     one_axis_twisted_state,
@@ -111,3 +112,22 @@ def test_min_quadratic_degeneracy_radius_is_the_callers():
     value, angle = _min_quadratic_2x2(b11, b22, b12, 16 * EPS * 2)
     assert angle == pytest.approx(0.7, abs=1e-8)
     assert value == pytest.approx(1.0 - 1e-6, abs=1e-15)
+
+
+def test_oracle_difference_within_the_rounding_bound_is_zero():
+    # the closed form is exact on two-qubit pure states: the two minima differ by rounding only
+    state = haar_pure_state(2, np.random.default_rng(101))
+    oracle = analyze_state(state)["oracle_cross_check"]
+    closed = oracle["common_direction_min_variance"]
+    independent = oracle["independent_angle_min_variance"]
+    assert closed != independent
+    assert abs(closed - independent) <= 16 * EPS * 2
+    assert oracle["difference"] == 0.0
+
+
+def test_oracle_difference_above_the_rounding_bound_is_kept():
+    oracle = analyze_state(one_axis_twisted_state(3, 1.0))["oracle_cross_check"]
+    closed = oracle["common_direction_min_variance"]
+    independent = oracle["independent_angle_min_variance"]
+    assert closed - independent > 1e-6
+    assert oracle["difference"] == closed - independent

@@ -2,6 +2,7 @@
 
 import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -70,23 +71,39 @@ def test_sweep_builds_dicke_operators_once_per_row(row_blocks, capsys):
     assert len(row_blocks) == 9
 
 
-LOCAL_FRAME_RESULTS = [(squeezing, "xi_tilde_symmetric"), (squeezing, "xi_tilde_general"),
-                       (entanglement, "invariant_I")]
+KEPT_VALUES = {
+    operators: ("bloch_vectors", "dicke_moments"),
+    reductions: ("pair_correlations", "symmetric_moments", "is_exchange_symmetric"),
+    squeezing: ("xi_tilde_symmetric", "xi_tilde_general"),
+    entanglement: ("invariant_I",),
+}
+MOMENTS = KEPT_VALUES[operators] + KEPT_VALUES[reductions]
+LOCAL_FRAME_RESULTS = KEPT_VALUES[squeezing] + KEPT_VALUES[entanglement]
 
 
 @pytest.fixture
-def local_frame_computations(monkeypatch):
-    """Counts the computations behind each kept local-frame result, by name."""
-    counts = {name: 0 for _, name in LOCAL_FRAME_RESULTS}
-    for module, name in LOCAL_FRAME_RESULTS:
-        kept = getattr(module, name)
+def kept_computations(monkeypatch):
+    """(name, state) of every computation behind a value kept per state, in call order."""
+    calls = []  # holds every state, so no two of them share an id
+    for module, names in KEPT_VALUES.items():
+        for name in names:
+            kept = getattr(module, name)
+            assert hasattr(kept, "__wrapped__"), f"{name} is not kept per state"
 
-        def counting(state, compute=kept.__wrapped__, name=name):
-            counts[name] += 1
-            return compute(state)
+            def counting(state, compute=kept.__wrapped__, name=name):
+                calls.append((name, state))
+                return compute(state)
 
-        monkeypatch.setattr(kept, "__wrapped__", counting)
-    return counts
+            monkeypatch.setattr(kept, "__wrapped__", counting)
+    return calls
+
+
+def _totals(calls, names):
+    return tuple(sum(called == name for called, _ in calls) for name in names)
+
+
+def _each_once(calls):
+    return all(count == 1 for count in Counter((name, id(state)) for name, state in calls).values())
 
 
 @pytest.mark.parametrize("make, expected", [
@@ -96,10 +113,10 @@ def local_frame_computations(monkeypatch):
     (lambda: haar_pure_state(5, np.random.default_rng(11)), (0, 1, 0)),
     (lambda: random_separable_state(4, 3, seed=4), (0, 1, 0)),
 ], ids=["symmetric8", "symmetric50", "embedded5", "haar5", "separable4"])
-def test_analyze_computes_each_local_frame_result_once(make, expected, local_frame_computations):
+def test_analyze_computes_each_local_frame_result_once(make, expected, kept_computations):
     # the report, the witness and the identity check read the same kept results
     analyze_state(make())
-    assert tuple(local_frame_computations.values()) == expected
+    assert _totals(kept_computations, LOCAL_FRAME_RESULTS) == expected
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -107,10 +124,33 @@ def test_analyze_computes_each_local_frame_result_once(make, expected, local_fra
     (["schmidt"], (3, 0, 3)),
 ], ids=["twisted", "schmidt"])
 def test_sweep_computes_each_local_frame_result_once_per_row(
-        argv, expected, local_frame_computations, capsys):
+        argv, expected, kept_computations, capsys):
     assert main(["sweep", *argv, "--start", "0.1", "--stop", "0.3", "--points", "3"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 4
-    assert tuple(local_frame_computations.values()) == expected
+    assert _totals(kept_computations, LOCAL_FRAME_RESULTS) == expected
+
+
+@pytest.mark.parametrize("make, expected", [
+    (lambda: one_axis_twisted_state(8, 0.3), (1, 1, 1, 1, 1)),
+    (lambda: embed_symmetric(one_axis_twisted_state(5, 0.2)), (1, 0, 1, 1, 1)),
+    (lambda: random_separable_state(4, 3, seed=4), (1, 0, 1, 0, 1)),
+], ids=["symmetric8", "embedded5", "separable4"])
+def test_analyze_computes_each_moment_once(make, expected, kept_computations):
+    # every consumer of a moment, the report's own sections included, reads the kept value
+    state = make()
+    analyze_state(state)
+    assert _totals(kept_computations, MOMENTS) == expected
+    assert all(computed_for is state for _, computed_for in kept_computations)
+    assert _each_once(kept_computations)
+
+
+def test_sweep_computes_each_moment_once_per_row(kept_computations, capsys):
+    assert main(["sweep", "twisted", "--n", "6", "--start", "0.1", "--stop", "0.3",
+                 "--points", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    assert _totals(kept_computations, MOMENTS) == (3, 3, 0, 3, 3)
+    assert len({id(state) for _, state in kept_computations}) == 3
+    assert _each_once(kept_computations)
 
 
 def _dense_moments(state):

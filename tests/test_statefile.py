@@ -10,6 +10,7 @@ from spinsqueeze import (
     PureState,
     SymmetricState,
     ValidationError,
+    analyze_state,
     coherent_spin_state,
     random_separable_terms,
 )
@@ -83,6 +84,25 @@ def test_errors_name_the_offending_field():
     with pytest.raises(ValidationError, match="amplitudes"):
         document_to_state({"format_version": "1", "kind": "pure", "num_qubits": 1,
                            "amplitudes": [[1.0, 0.0], ["x", 0.0]]})
+    for kind, message in [
+        ("pure", "state file is missing field 'amplitudes' for kind 'pure'"),
+        ("density", "state file is missing field 'matrix' for kind 'density'"),
+        ("symmetric", "state file is missing field 'dicke_amplitudes' for kind 'symmetric'"),
+        ("mixture", "state file is missing field 'terms' for kind 'mixture'"),
+    ]:
+        with pytest.raises(ValidationError) as missing:
+            document_to_state({"format_version": "1", "kind": kind, "num_qubits": 1})
+        assert str(missing.value) == message
+
+
+def test_objects_without_a_state_kind_are_refused():
+    term = random_separable_terms(2, 1, seed=3)[0]
+    with pytest.raises(ValidationError) as unknown:
+        state_to_document(term)
+    assert str(unknown.value) == "cannot serialize MixtureTerm as a state file"
+    with pytest.raises(TypeError) as unanalyzable:
+        analyze_state(term)
+    assert str(unanalyzable.value) == "cannot analyze MixtureTerm"
 
 
 def test_json_booleans_are_not_numbers():
