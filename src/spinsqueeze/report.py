@@ -10,8 +10,8 @@ from .errors import QubitBlochZeroError
 from .operators import bloch_vectors
 from .reductions import is_exchange_symmetric, pair_correlations, symmetric_moments
 from .squeezing import (
-    _pair_sum_rounding,
     brute_force_min_variance,
+    cross_check_bound,
     xi_standard,
     xi_tilde_general,
     xi_tilde_symmetric,
@@ -134,8 +134,8 @@ def _oracle_section(state, general_result):
 
     The two coincide for pure two-qubit states and in the strongly squeezed
     regime; elsewhere the independent-angle value can be lower, so both are
-    reported.  A difference within the closed form's rounding bound,
-    16 eps N(N-1), is reported as 0.0.
+    reported.  A difference within cross_check_bound, the closed form's
+    rounding plus the search's stopping tolerance, is reported as 0.0.
     """
     if general_result.min_variance is None:
         return {"skipped": general_result.undefined_reason.value
@@ -145,7 +145,7 @@ def _oracle_section(state, general_result):
     independent = brute_force_min_variance(state)
     closed = general_result.min_variance
     difference = closed - independent
-    if abs(difference) <= _pair_sum_rounding(state.num_qubits):
+    if abs(difference) <= cross_check_bound(state.num_qubits):
         difference = 0.0
     return {
         "common_direction_min_variance": closed,

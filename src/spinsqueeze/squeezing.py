@@ -48,6 +48,7 @@ FRAME_DEGENERATE_RADIUS = 1e-15
 SEARCH_RESOLUTION = 128  # grid angles per coordinate of the independent-angle search
 SEARCH_GRID = np.linspace(0.0, 2 * math.pi, SEARCH_RESOLUTION, endpoint=False)
 SEARCH_GRID.setflags(write=False)
+SEARCH_MIN_GAIN = 1e-14  # the independent-angle search takes only steps that gain more
 
 
 class UndefinedReason(Enum):
@@ -225,46 +226,21 @@ def xi_tilde_general(state):
         optimal_angle=angle, mean_J0=mean_j0)
 
 
-class _VarianceObjective:
-    """Var(J_perp) as a function of per-qubit angles perpendicular to each Bloch vector."""
+def _projected_pair_matrix(state):
+    """The 2N x 2N matrix M, symmetric to rounding, with Var(J_perp) = (N + u^T M u) / 4.
 
-    def __init__(self, state):
-        n = state.num_qubits
-        table = pair_correlations(state)  # refuses N > 20 before any Bloch vector check
-        svecs = bloch_vectors(state)
-        frames = [complete_frame(unit(s)) for s in svecs]
-        basis = np.stack([
-            np.stack([f.n_perp.components, f.n_perp_prime.components]) for f in frames])
-        self.num_qubits = n
-        # per-qubit Bloch vector projected on its perpendicular plane
-        self.s2 = np.einsum("qab,qb->qa", basis, svecs)
-        # pair matrices projected on the two perpendicular planes
-        self.t2 = np.einsum("iax,ijxy,jby->ijab", basis, table, basis)
-
-    def value(self, angles):
-        u = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        cross = np.einsum("ia,ijab,jb->", u, self.t2, u)
-        mean = 0.5 * np.einsum("ia,ia->", u, self.s2)
-        return 0.25 * (self.num_qubits + cross) - mean**2
-
-    def slice_coefficients(self, angles, q):
-        """Coefficients of the single-angle slice for qubit q (0-based).
-
-        value(psi) = 0.25 (N + c0 + u(psi).w) - (m0 + 0.5 u(psi).sq)^2
-        """
-        u = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        u[q] = 0.0
-        w = np.einsum("jab,jb->a", self.t2[q], u) + np.einsum("jba,jb->a", self.t2[:, q], u)
-        cross_rest = np.einsum("ia,ijab,jb->", u, self.t2, u)
-        mean_rest = 0.5 * np.einsum("ia,ia->", u, self.s2)
-        return cross_rest, w, mean_rest, self.s2[q]
-
-    def slice_value(self, psi, coeffs):
-        cross_rest, w, mean_rest, sq = coeffs
-        u = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
-        cross = cross_rest + u @ w
-        mean = mean_rest + 0.5 * (u @ sq)
-        return 0.25 * (self.num_qubits + cross) - mean**2
+    u stacks one unit 2-vector u_q per qubit, in the basis (n_perp,
+    n_perp_prime) of qubit q's complete_frame, B_q; block (i, j) of M is
+    B_i T^(ij) B_j^T.  <J_perp> vanishes since each direction is
+    perpendicular to its qubit's Bloch vector.
+    """
+    n = state.num_qubits
+    table = pair_correlations(state)  # refuses N > 20 before any Bloch vector check
+    frames = [complete_frame(unit(s)) for s in bloch_vectors(state)]
+    basis = np.stack([
+        np.stack([f.n_perp.components, f.n_perp_prime.components]) for f in frames])
+    m = np.einsum("iax,ijxy,jby->iajb", basis, table, basis)
+    return m.reshape(2 * n, 2 * n)
 
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
@@ -288,16 +264,21 @@ def _golden_refine(func, lo, hi):
     return (a + b) / 2
 
 
+def _unit_vectors(angles):
+    return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+
+
 def brute_force_min_variance(state):
     """Minimize Var(J_perp) over per-qubit directions perpendicular to each Bloch vector.
 
-    Runs coordinate descent (grid scan plus golden-section refinement per
-    coordinate) from a deterministic set of starts and returns the best value
-    found.  This searches the unrestricted problem, so the result is a lower
-    bound on any common-direction evaluation.
+    Coordinate descent on (N + u^T M u) / 4, M = _projected_pair_matrix, from
+    a deterministic set of starts; returns the best value found.  Along qubit
+    q's angle the objective is (rest + u(psi).w) / 4, with rest = N + u^T M u
+    and w = 2 (M u)_q taken at u_q = 0: a grid scan plus golden section, and
+    a step only where it gains more than SEARCH_MIN_GAIN.
     """
     n = state.num_qubits
-    objective = _VarianceObjective(state)
+    m = _projected_pair_matrix(state)
     step = 2 * math.pi / SEARCH_RESOLUTION
 
     starts = [np.full(n, g) for g in np.linspace(0.0, 2 * math.pi, 8, endpoint=False)]
@@ -308,18 +289,22 @@ def brute_force_min_variance(state):
     best = math.inf
     for start in starts:
         angles = np.array(start, dtype=float)
-        current = objective.value(angles)
+        u = _unit_vectors(angles).ravel()
+        current = 0.25 * (n + u @ m @ u)
         for _ in range(200):
             improved = False
             for q in range(n):
-                coeffs = objective.slice_coefficients(angles, q)
-                values = objective.slice_value(SEARCH_GRID, coeffs)
-                idx = int(np.argmin(values))
+                u = _unit_vectors(angles)
+                u[q] = 0.0
+                mu = m @ u.ravel()
+                rest = n + u.ravel() @ mu
+                w = 2 * mu[2 * q:2 * q + 2]
+                idx = int(np.argmin(rest + _unit_vectors(SEARCH_GRID) @ w))
                 lo = SEARCH_GRID[idx] - step
                 hi = SEARCH_GRID[idx] + step
-                psi = _golden_refine(lambda p: objective.slice_value(p, coeffs), lo, hi)
-                candidate = objective.slice_value(psi, coeffs)
-                if candidate < current - 1e-14:
+                psi = _golden_refine(lambda p: 0.25 * (rest + _unit_vectors(p) @ w), lo, hi)
+                candidate = 0.25 * (rest + _unit_vectors(psi) @ w)
+                if candidate < current - SEARCH_MIN_GAIN:
                     angles[q] = psi
                     current = candidate
                     improved = True
@@ -327,3 +312,12 @@ def brute_force_min_variance(state):
                 break
         best = min(best, current)
     return float(max(0.0, best))
+
+
+def cross_check_bound(n):
+    """How far the closed form and the search may differ by rounding alone.
+
+    16 eps N(N-1) bounds the closed form's pair sum; N * SEARCH_MIN_GAIN is
+    how far above a reachable point the search may stop.
+    """
+    return _pair_sum_rounding(n) + n * SEARCH_MIN_GAIN

@@ -7,6 +7,9 @@ A change that moves any printed digit fails here.  Regenerate the files only
 on purpose, and name each regenerated file in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
+
+It rewrites only the files whose bytes differ, deletes files no fixture
+produces, and prints one "changed", "added" or "removed" line per file.
 """
 
 import contextlib
@@ -14,7 +17,6 @@ import io
 import math
 import os
 import re
-import sys
 import tempfile
 from pathlib import Path
 
@@ -111,10 +113,24 @@ def test_output_is_byte_identical_to_golden(produced, name):
     assert produced[name].encode("ascii") == (GOLDEN / name).read_bytes()
 
 
-if __name__ == "__main__":
+def regenerate():
+    """Rewrite only the golden files whose bytes moved; print one line per file touched."""
     GOLDEN.mkdir(exist_ok=True)
-    for stale in GOLDEN.glob("*"):
-        stale.unlink()
-    for name, text in outputs().items():
-        (GOLDEN / name).write_bytes(text.encode("ascii"))
-        print(f"wrote {GOLDEN / name}", file=sys.stderr)
+    produced = {name: text.encode("ascii") for name, text in outputs().items()}
+    for stale in sorted(GOLDEN.glob("*")):
+        if stale.name not in produced:
+            stale.unlink()
+            print(f"removed {stale.name}")
+    for name, data in sorted(produced.items()):
+        path = GOLDEN / name
+        if not path.exists():
+            print(f"added {name}")
+        elif path.read_bytes() != data:
+            print(f"changed {name}")
+        else:
+            continue
+        path.write_bytes(data)
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -26,7 +26,7 @@ from spinsqueeze.sampling import (
     pure_state_with_nonzero_bloch,
     random_symmetric_mixture,
 )
-from spinsqueeze.squeezing import _min_quadratic_2x2
+from spinsqueeze.squeezing import _min_quadratic_2x2, cross_check_bound
 
 from oracles import rotated_pair_sum
 
@@ -125,9 +125,20 @@ def test_oracle_difference_within_the_rounding_bound_is_zero():
     assert oracle["difference"] == 0.0
 
 
+def test_oracle_difference_within_the_search_tolerance_is_zero():
+    # the search stops where no single-angle step gains more than SEARCH_MIN_GAIN,
+    # here about 3e-14 above the closed form, beyond 16 eps N(N-1) = 2.1e-14
+    oracle = analyze_state(one_axis_twisted_state(3, 0.5))["oracle_cross_check"]
+    closed = oracle["common_direction_min_variance"]
+    independent = oracle["independent_angle_min_variance"]
+    assert 16 * EPS * 6 < independent - closed <= cross_check_bound(3)
+    assert oracle["difference"] == 0.0
+
+
 def test_oracle_difference_above_the_rounding_bound_is_kept():
     oracle = analyze_state(one_axis_twisted_state(3, 1.0))["oracle_cross_check"]
     closed = oracle["common_direction_min_variance"]
     independent = oracle["independent_angle_min_variance"]
     assert closed - independent > 1e-6
     assert oracle["difference"] == closed - independent
+    assert oracle["difference"] == pytest.approx(0.1667, abs=1e-4)

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from spinsqueeze import (
+    Direction,
+    Frame,
     PureState,
     UndefinedReason,
     ValidationError,
     apply_local_unitaries,
+    bloch_vectors,
     brute_force_min_variance,
     coherent_spin_state,
     dicke_state,
@@ -15,6 +18,7 @@ from spinsqueeze import (
     one_axis_twisted_state,
     product_state,
     quadratic_form_min,
+    random_separable_state,
     unit,
     xi_standard,
     xi_tilde_general,
@@ -24,10 +28,13 @@ from spinsqueeze.operators import SIGMA_X, LocalUnitary, complete_frame
 from spinsqueeze.sampling import (
     haar_pure_state,
     pure_state_with_nonzero_bloch,
+    random_symmetric_mixture,
     symmetric_state_with_nonzero_bloch,
 )
+from spinsqueeze.squeezing import _projected_pair_matrix
 
 from conftest import bell_state, schmidt_state
+from oracles import collective_moment
 
 Z = unit([0.0, 0.0, 1.0])
 
@@ -286,3 +293,33 @@ def test_brute_force_is_deterministic(rng):
     a = brute_force_min_variance(state)
     b = brute_force_min_variance(state)
     assert a == b
+
+
+def _turned_frames(state, angles):
+    """Each qubit's complete_frame turned by its angle about the qubit's Bloch axis."""
+    frames = []
+    for s, psi in zip(bloch_vectors(state), angles):
+        f = complete_frame(unit(s))
+        d = math.cos(psi) * f.n_perp.components + math.sin(psi) * f.n_perp_prime.components
+        frames.append(Frame(Direction(d), Direction(np.cross(f.n0.components, d)), f.n0))
+    return frames
+
+
+def test_projected_pair_matrix_gives_the_collective_variance():
+    # (N + u^T M u) / 4 against Var(J_perp) of the full state, means subtracted
+    rng = np.random.default_rng(1414)
+    symmetric = symmetric_state_with_nonzero_bloch(4, rng)
+    cases = [(haar_pure_state(n, rng), None) for n in (2, 3, 4, 5)]
+    cases += [(random_separable_state(4, 3, 1415), None),
+              (random_symmetric_mixture(4, 3, rng), None),
+              (symmetric, embed_symmetric(symmetric))]
+    for state, full in cases:
+        n = state.num_qubits
+        m = _projected_pair_matrix(state)
+        assert m.shape == (2 * n, 2 * n)
+        assert np.max(np.abs(m - m.T)) <= 1e-15
+        for _ in range(3):
+            angles = rng.uniform(0.0, 2 * math.pi, size=n)
+            u = np.stack([np.cos(angles), np.sin(angles)], axis=1).ravel()
+            _, cov = collective_moment(full or state, _turned_frames(state, angles))
+            assert abs(0.25 * (n + u @ m @ u) - cov[0, 0]) <= 1e-12
