@@ -48,6 +48,8 @@ FRAME_DEGENERATE_RADIUS = 1e-15
 SEARCH_RESOLUTION = 128  # grid angles per coordinate of the independent-angle search
 SEARCH_GRID = np.linspace(0.0, 2 * math.pi, SEARCH_RESOLUTION, endpoint=False)
 SEARCH_GRID.setflags(write=False)
+SEARCH_GRID_VECTORS = np.stack([np.cos(SEARCH_GRID), np.sin(SEARCH_GRID)], axis=-1)
+SEARCH_GRID_VECTORS.setflags(write=False)
 SEARCH_MIN_GAIN = 1e-14  # the independent-angle search takes only steps that gain more
 
 
@@ -142,15 +144,28 @@ def _collective_covariance(state):
     return mean, second - np.outer(mean, mean), n
 
 
+def _mean_spin_rounding(n):
+    """2 eps N(N+2): a rounding bound on |<J>| taken as Re<d, J_a d> on the Dicke basis.
+
+    A row of J_a has at most two nonzero entries, so J_a d rounds each entry
+    a few times; <d, J_a d> then sums N+1 complex products whose absolute
+    values add up to at most |d|^T |J_a| |d| <= N/2.  Each component errs by
+    at most about 2 (N+2) eps N/2 = eps N(N+2), and the norm of the three
+    components by at most sqrt(3) < 2 times that.
+    """
+    return 2 * np.finfo(float).eps * n * (n + 2)
+
+
 def xi_standard(state):
     """Mean-spin-frame parameters xi1 = 2 (dJ)_min / sqrt(N), xi2 = N xi1 / (2 |<J0>|).
 
     Undefined (with reason MeanSpinZero) when the collective mean spin
-    vanishes, since no mean-spin frame exists.
+    vanishes, since no mean-spin frame exists: |<J>| at most MEAN_SPIN_TOL,
+    or at most its rounding bound, which is the larger from N = 474 on.
     """
     mean, cov, n = _collective_covariance(state)
     j_norm = float(np.linalg.norm(mean))
-    if j_norm <= MEAN_SPIN_TOL:
+    if j_norm <= max(MEAN_SPIN_TOL, _mean_spin_rounding(n)):
         return SqueezingResult(undefined_reason=UndefinedReason.MEAN_SPIN_ZERO)
     value, angle, _frame = _frame_block_min(cov, Direction(mean / j_norm))
     min_var = max(0.0, value)
@@ -244,15 +259,17 @@ def _projected_pair_matrix(state):
 
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
-_GOLDEN_ITERATIONS = 60
 
 
-def _golden_refine(func, lo, hi):
+def _golden_refine(func, lo, hi, width):
+    """Golden-section minimum of unimodal `func` on [lo, hi], to a bracket at most `width` wide."""
     a, b = lo, hi
+    if b - a <= width:
+        return (a + b) / 2
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = func(c), func(d)
-    for _ in range(_GOLDEN_ITERATIONS):
+    while b - a > width:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -268,14 +285,29 @@ def _unit_vectors(angles):
     return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
 
+def _slice_resolution(n, w):
+    """The bracket width e with |w| e^2 / 32 = eps N; infinite for a flat slice (w = 0).
+
+    Along one angle the objective is (rest + u(psi).w) / 4, which a point
+    within e/2 of the minimum leaves at most |w| (e/2)^2 / 8 = |w| e^2 / 32
+    above it: narrower brackets gain less than the objective's rounding.
+    """
+    w_norm = math.hypot(w[0], w[1])
+    if w_norm == 0.0:
+        return math.inf
+    return math.sqrt(32 * np.finfo(float).eps * n / w_norm)
+
+
 def brute_force_min_variance(state):
     """Minimize Var(J_perp) over per-qubit directions perpendicular to each Bloch vector.
 
     Coordinate descent on (N + u^T M u) / 4, M = _projected_pair_matrix, from
     a deterministic set of starts; returns the best value found.  Along qubit
     q's angle the objective is (rest + u(psi).w) / 4, with rest = N + u^T M u
-    and w = 2 (M u)_q taken at u_q = 0: a grid scan plus golden section, and
-    a step only where it gains more than SEARCH_MIN_GAIN.
+    and w = 2 (M u)_q taken at u_q = 0: a grid scan plus golden section down
+    to _slice_resolution, and a step only where it gains more than
+    SEARCH_MIN_GAIN.  Each start keeps its (N, 2) unit vectors and refreshes
+    only the row of an accepted step.
     """
     n = state.num_qubits
     m = _projected_pair_matrix(state)
@@ -288,24 +320,25 @@ def brute_force_min_variance(state):
 
     best = math.inf
     for start in starts:
-        angles = np.array(start, dtype=float)
-        u = _unit_vectors(angles).ravel()
+        vectors = _unit_vectors(start)
+        u = vectors.ravel()
         current = 0.25 * (n + u @ m @ u)
         for _ in range(200):
             improved = False
             for q in range(n):
-                u = _unit_vectors(angles)
+                u = vectors.copy()
                 u[q] = 0.0
                 mu = m @ u.ravel()
                 rest = n + u.ravel() @ mu
                 w = 2 * mu[2 * q:2 * q + 2]
-                idx = int(np.argmin(rest + _unit_vectors(SEARCH_GRID) @ w))
+                idx = int(np.argmin(rest + SEARCH_GRID_VECTORS @ w))
                 lo = SEARCH_GRID[idx] - step
                 hi = SEARCH_GRID[idx] + step
-                psi = _golden_refine(lambda p: 0.25 * (rest + _unit_vectors(p) @ w), lo, hi)
+                psi = _golden_refine(lambda p: 0.25 * (rest + _unit_vectors(p) @ w), lo, hi,
+                                     _slice_resolution(n, w))
                 candidate = 0.25 * (rest + _unit_vectors(psi) @ w)
                 if candidate < current - SEARCH_MIN_GAIN:
-                    angles[q] = psi
+                    vectors[q] = _unit_vectors(psi)
                     current = candidate
                     improved = True
             if not improved:

@@ -10,10 +10,15 @@ on purpose, and name each regenerated file in CHANGES.md:
 
 It rewrites only the files whose bytes differ, deletes files no fixture
 produces, and prints one "changed", "added" or "removed" line per file.
+Under each changed file it names the fields that moved: the largest
+absolute and the largest relative change among the file's numbers, with
+their field paths, and any field that changed otherwise.
 """
 
 import contextlib
+import csv
 import io
+import json
 import math
 import os
 import re
@@ -37,6 +42,7 @@ from spinsqueeze.statefile import save_state
 
 GOLDEN = Path(__file__).parent / "golden"
 VOLATILE = re.compile(r'"generated_at":"[^"]*",|"path":(?:"[^"]*"|null),')
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 SWEEPS = {
     "sweep-css6": ["css", "--n", "6", "--start", "0.2", "--stop", "3.0",
@@ -113,6 +119,72 @@ def test_output_is_byte_identical_to_golden(produced, name):
     assert produced[name].encode("ascii") == (GOLDEN / name).read_bytes()
 
 
+def _fields(name, text):
+    """field path -> leaf of a golden file: JSON leaves, CSV cells, or each text line's numbers."""
+    if name.endswith(".json"):
+        leaves = {}
+
+        def walk(node, path):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    walk(value, f"{path}.{key}" if path else key)
+            elif isinstance(node, list):
+                for i, value in enumerate(node):
+                    walk(value, f"{path}[{i}]")
+            else:
+                leaves[path] = node
+
+        walk(json.loads(text), "")
+        return leaves
+    if name.endswith(".csv"):
+        header, *rows = csv.reader(io.StringIO(text))
+        return {f"row {i}.{column}": _number_or_text(cell)
+                for i, row in enumerate(rows, start=1) for column, cell in zip(header, row)}
+    leaves = {}
+    for i, line in enumerate(text.splitlines(), start=1):
+        leaves[f"line {i}"] = NUMBER.sub("#", line)
+        for j, number in enumerate(NUMBER.findall(line), start=1):
+            leaves[f"line {i} number {j}"] = float(number)
+    return leaves
+
+
+def _number_or_text(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def describe_change(name, old_text, new_text):
+    """Lines naming the fields of a golden file that moved, and by how much."""
+    old, new = _fields(name, old_text), _fields(name, new_text)
+    moved, other = [], []
+    for path in sorted(old.keys() | new.keys()):
+        a, b = old.get(path), new.get(path)
+        if a == b:
+            continue
+        if _is_number(a) and _is_number(b):
+            absolute = abs(b - a)
+            relative = absolute / abs(a) if a else math.inf
+            moved.append((absolute, relative, path, a, b))
+        else:
+            other.append(path)
+    lines = []
+    if moved:
+        for label, key in (("absolute", 0), ("relative", 1)):
+            absolute, relative, path, a, b = max(moved, key=lambda m: m[key])
+            lines.append(f"  largest {label} change: {path} {a!r} -> {b!r}"
+                         f" (absolute {absolute:.3g}, relative {relative:.3g})")
+    if other:
+        lines.append(f"  {len(other)} other changed fields: {', '.join(other[:5])}"
+                     + (", ..." if len(other) > 5 else ""))
+    return lines or ["  no field changed its value: only the formatting moved"]
+
+
 def regenerate():
     """Rewrite only the golden files whose bytes moved; print one line per file touched."""
     GOLDEN.mkdir(exist_ok=True)
@@ -127,6 +199,8 @@ def regenerate():
             print(f"added {name}")
         elif path.read_bytes() != data:
             print(f"changed {name}")
+            for line in describe_change(name, path.read_text("ascii"), data.decode("ascii")):
+                print(line)
         else:
             continue
         path.write_bytes(data)

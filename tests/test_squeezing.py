@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -31,7 +32,8 @@ from spinsqueeze.sampling import (
     random_symmetric_mixture,
     symmetric_state_with_nonzero_bloch,
 )
-from spinsqueeze.squeezing import _projected_pair_matrix
+from spinsqueeze import squeezing
+from spinsqueeze.squeezing import SEARCH_RESOLUTION, _projected_pair_matrix
 
 from conftest import bell_state, schmidt_state
 from oracles import collective_moment
@@ -323,3 +325,68 @@ def test_projected_pair_matrix_gives_the_collective_variance():
             u = np.stack([np.cos(angles), np.sin(angles)], axis=1).ravel()
             _, cov = collective_moment(full or state, _turned_frames(state, angles))
             assert abs(0.25 * (n + u @ m @ u) - cov[0, 0]) <= 1e-12
+
+
+def _slice_coefficients(func):
+    """(A, B, C) of the slice A + B cos(psi) + C sin(psi), from three evaluations."""
+    f0, f1, f2 = func(0.0), func(math.pi / 2), func(math.pi)
+    a = (f0 + f2) / 2
+    return a, (f0 - f2) / 2, f1 - a
+
+
+@functools.cache
+def _refined_slices(index):
+    """((A, B, C), value at the returned psi, evaluations) per _golden_refine call.
+
+    One search of _search_stop_cases()[index]; each slice is read during its
+    call, since it closes over the search's loop variables.
+    """
+    calls = []
+    refine = squeezing._golden_refine
+
+    def recording(func, *args):
+        count = [0]
+
+        def counted(p):
+            count[0] += 1
+            return func(p)
+
+        psi = refine(counted, *args)
+        calls.append((_slice_coefficients(func), func(psi), count[0]))
+        return psi
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(squeezing, "_golden_refine", recording)
+        brute_force_min_variance(_search_stop_cases()[index])
+    assert calls
+    return calls
+
+
+def _search_stop_cases():
+    cases = [haar_pure_state(n, np.random.default_rng(500 + n)) for n in range(2, 7)]
+    return cases + [random_separable_state(3, 3, 11), one_axis_twisted_state(4, 0.3)]
+
+
+@pytest.mark.parametrize("index", range(len(_search_stop_cases())))
+def test_golden_refine_stops_within_eps_n_of_the_slice_minimum(index):
+    n = _search_stop_cases()[index].num_qubits
+    eps = np.finfo(float).eps
+    for (a, b, c), value, _count in _refined_slices(index):
+        assert value - (a - math.hypot(b, c)) <= eps * n
+
+
+@pytest.mark.parametrize("index", range(len(_search_stop_cases())))
+def test_golden_refine_evaluates_no_more_than_its_resolution_needs(index):
+    # the bracket starts 2 step wide and shrinks by the golden ratio per
+    # evaluation; it stops at the width e with |w| e^2 / 32 = eps N, where
+    # |w| = 4 hypot(B, C) for the slice (rest + u(psi).w) / 4
+    n = _search_stop_cases()[index].num_qubits
+    step = 2 * math.pi / SEARCH_RESOLUTION
+    shrink = 2 / (math.sqrt(5) - 1)
+    for (_a, b, c), _value, count in _refined_slices(index):
+        w_norm = 4 * math.hypot(b, c)
+        if w_norm == 0.0:
+            assert count == 0
+            continue
+        width = math.sqrt(32 * np.finfo(float).eps * n / w_norm)
+        assert count <= 2 + max(0, math.ceil(math.log(2 * step / width) / math.log(shrink)))
