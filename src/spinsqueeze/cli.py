@@ -114,6 +114,8 @@ def _cmd_generate(args):
         state = dicke_state(args.n, args.k)
     elif kind == "product":
         _require(args.qubit, "product needs at least one --qubit THETA,PHI")
+        _require(args.n is None or args.n == len(args.qubit),
+                 f"--n {args.n} differs from the number of --qubit values, {len(args.qubit)}")
         factors = []
         for spec in args.qubit:
             parts = spec.split(",")
@@ -165,6 +167,8 @@ def _sweep_state(kind, value, args):
 def _cmd_sweep(args):
     _require(1 <= args.points <= SWEEP_MAX_POINTS,
              f"--points must be between 1 and {SWEEP_MAX_POINTS}")
+    _require(args.kind != "schmidt" or args.n == 2,
+             f"schmidt sweeps two-qubit states; --n must be 2, got {args.n}")
     _require(math.isfinite(args.start), f"--start must be finite, got {args.start!r}")
     _require(math.isfinite(args.stop), f"--stop must be finite, got {args.stop!r}")
     _require(math.isfinite(args.stop - args.start), "--stop - --start overflows")

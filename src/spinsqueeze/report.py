@@ -135,7 +135,9 @@ def _oracle_section(state, general_result):
     The two coincide for pure two-qubit states and in the strongly squeezed
     regime; elsewhere the independent-angle value can be lower, so both are
     reported.  A difference within cross_check_bound, the closed form's
-    rounding plus the search's stopping tolerance, is reported as 0.0.
+    rounding plus the search's stopping tolerance, is reported as 0.0.  On
+    two qubits the independent-angle minimum is a closed form too, so the
+    comparison is exact.
     """
     if general_result.min_variance is None:
         return {"skipped": general_result.undefined_reason.value

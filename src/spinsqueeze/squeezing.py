@@ -15,8 +15,9 @@ The common-orientation evaluation is an upper bound on the unrestricted
 minimum over independent per-qubit perpendicular directions; the two agree
 for pure two-qubit states and for symmetric states whose perpendicular
 correlation is sufficiently negative, but not in general.
-brute_force_min_variance searches the unrestricted problem so both values
-can be reported side by side.
+brute_force_min_variance solves the unrestricted problem, in closed form on
+two qubits and by search on more, so both values can be reported side by
+side.
 """
 
 import math
@@ -301,16 +302,24 @@ def _slice_resolution(n, w):
 def brute_force_min_variance(state):
     """Minimize Var(J_perp) over per-qubit directions perpendicular to each Bloch vector.
 
-    Coordinate descent on (N + u^T M u) / 4, M = _projected_pair_matrix, from
-    a deterministic set of starts; returns the best value found.  Along qubit
-    q's angle the objective is (rest + u(psi).w) / 4, with rest = N + u^T M u
-    and w = 2 (M u)_q taken at u_q = 0: a grid scan plus golden section down
-    to _slice_resolution, and a step only where it gains more than
-    SEARCH_MIN_GAIN.  Each start keeps its (N, 2) unit vectors and refreshes
-    only the row of an accepted step.
+    The objective is (N + u^T M u) / 4, M = _projected_pair_matrix.  On two
+    qubits M's diagonal blocks vanish, so u^T M u = 2 u_1^T M_12 u_2, whose
+    minimum over unit u_1, u_2 is -2 sigma_max(M_12): the result is
+    (1 - sigma_max) / 2, exact to rounding.
+
+    For N >= 3, coordinate descent from a deterministic set of starts
+    returns the best value found.  Along qubit q's angle the objective is
+    (rest + u(psi).w) / 4, with rest = N + u^T M u and w = 2 (M u)_q taken at
+    u_q = 0: a grid scan plus golden section down to _slice_resolution, and
+    a step only where it gains more than SEARCH_MIN_GAIN.  Each start keeps
+    its (N, 2) unit vectors and refreshes only the row of an accepted step.
     """
     n = state.num_qubits
     m = _projected_pair_matrix(state)
+    if n == 2:
+        (a, b), (c, d) = m[:2, 2:]
+        sigma_max = (math.hypot(a + d, b - c) + math.hypot(a - d, b + c)) / 2
+        return max(0.0, (1.0 - sigma_max) / 2)
     step = 2 * math.pi / SEARCH_RESOLUTION
 
     starts = [np.full(n, g) for g in np.linspace(0.0, 2 * math.pi, 8, endpoint=False)]

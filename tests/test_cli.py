@@ -81,6 +81,15 @@ def test_generate_product_beyond_capacity_exits_2_without_building(monkeypatch, 
         "error: full state vectors are limited to 20 qubits, got 28\n")
 
 
+def test_generate_product_refuses_an_n_other_than_its_qubit_count(capsys):
+    assert run_cli("generate", "product", "--n", "3", "--qubit", "1,2") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --n 3 differs from the number of --qubit values, 1\n"
+    assert run_cli("generate", "product", "--n", "2", "--qubit", "1,2", "--qubit", "0.5,0") == 0
+    assert json.loads(capsys.readouterr().out)["num_qubits"] == 2
+
+
 def test_analyze_section3_product_state(tmp_path, capsys):
     out = tmp_path / "prod.json"
     # factors (sqrt(3)/2, 1/2) and (sqrt(3)/2, -1/2) as Bloch angles
@@ -365,6 +374,16 @@ def test_sweep_schmidt_closed_forms(tmp_path):
     # theta = pi/4 row: Bell state, xi columns empty
     assert rows[-1][1] == "" and rows[-1][3] == ""
     assert abs(float(rows[-1][5]) - 1.0) < 1e-12
+
+
+def test_sweep_schmidt_refuses_an_n_other_than_2(capsys):
+    argv = ["sweep", "schmidt", "--start", "0", "--stop", "0.5", "--points", "2"]
+    assert run_cli(*argv, "--n", "5") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: schmidt sweeps two-qubit states; --n must be 2, got 5\n"
+    assert run_cli(*argv, "--n", "2") == 0
+    assert capsys.readouterr().out.count("\n") == 3
 
 
 def test_sweep_twisted_shows_squeezing(tmp_path):
