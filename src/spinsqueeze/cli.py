@@ -51,15 +51,15 @@ def build_parser():
     gen = sub.add_parser("generate", help="write a state file")
     gen.add_argument("kind", choices=["css", "twisted", "product", "random-separable", "dicke"])
     gen.add_argument("--n", type=int, help="number of qubits")
-    gen.add_argument("--theta", type=float, default=0.0, help="polar angle (css)")
-    gen.add_argument("--phi", type=float, default=0.0, help="azimuthal angle (css)")
-    gen.add_argument("--mu", type=float, default=0.0, help="twisting strength (twisted)")
-    gen.add_argument("--k", type=int, default=0, help="Dicke index (dicke)")
-    gen.add_argument("--terms", type=int, default=1,
-                     help="number of product terms (random-separable)")
+    gen.add_argument("--theta", type=float, help="polar angle (css; default 0)")
+    gen.add_argument("--phi", type=float, help="azimuthal angle (css; default 0)")
+    gen.add_argument("--mu", type=float, help="twisting strength (twisted; default 0)")
+    gen.add_argument("--k", type=int, help="Dicke index (dicke; default 0)")
+    gen.add_argument("--terms", type=int,
+                     help="number of product terms (random-separable; default 1)")
     gen.add_argument("--qubit", action="append", metavar="THETA,PHI",
                      help="one Bloch direction per qubit (product); repeatable")
-    gen.add_argument("--seed", type=int, default=0, help="sampler seed")
+    gen.add_argument("--seed", type=int, help="sampler seed (random-separable; default 0)")
     gen.add_argument("--output", help="output path (default: stdout)")
     gen.set_defaults(func=_cmd_generate)
 
@@ -74,8 +74,8 @@ def build_parser():
     swp.add_argument("--start", type=float, required=True)
     swp.add_argument("--stop", type=float, required=True)
     swp.add_argument("--points", type=int, required=True)
-    swp.add_argument("--n", type=int, default=2, help="number of qubits (css, twisted)")
-    swp.add_argument("--phi", type=float, default=0.0, help="azimuthal angle (css)")
+    swp.add_argument("--n", type=int, help="number of qubits (css, twisted; default 2)")
+    swp.add_argument("--phi", type=float, help="azimuthal angle (css; default 0)")
     swp.add_argument("--output", help="CSV path (default: stdout)")
     swp.set_defaults(func=_cmd_sweep)
 
@@ -101,7 +101,36 @@ def _require(condition, message):
         raise ValidationError(message)
 
 
+# The parameters each kind reads, with their defaults.  A parameter that a kind
+# does not read is refused when given, never dropped.
+GENERATE_READS = {
+    "css": {"n": None, "theta": 0.0, "phi": 0.0},
+    "twisted": {"n": None, "mu": 0.0},
+    "dicke": {"n": None, "k": 0},
+    "product": {"n": None, "qubit": None},  # --n only as a check of the --qubit count
+    "random-separable": {"n": None, "terms": 1, "seed": 0},
+}
+SWEEP_READS = {
+    "schmidt": {"n": 2},  # --n only as the two-qubit check
+    "css": {"n": 2, "phi": 0.0},
+    "twisted": {"n": 2},
+}
+
+
+def _read_parameters(args, reads):
+    """Refuse the given parameters that args.kind does not read; default the unset rest."""
+    kind_reads = reads[args.kind]
+    parameters = dict.fromkeys(name for names in reads.values() for name in names)
+    unread = [f"--{name}" for name in parameters
+              if name not in kind_reads and getattr(args, name) is not None]
+    _require(not unread, f"{args.command} {args.kind} does not read {', '.join(unread)}")
+    for name, default in kind_reads.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+
+
 def _cmd_generate(args):
+    _read_parameters(args, GENERATE_READS)
     kind = args.kind
     if kind == "css":
         _require(args.n is not None, "--n is required for css")
@@ -165,6 +194,7 @@ def _sweep_state(kind, value, args):
 
 
 def _cmd_sweep(args):
+    _read_parameters(args, SWEEP_READS)
     _require(1 <= args.points <= SWEEP_MAX_POINTS,
              f"--points must be between 1 and {SWEEP_MAX_POINTS}")
     _require(args.kind != "schmidt" or args.n == 2,

@@ -28,6 +28,23 @@ _DICKE_BLOCK_ROWS = 64
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
+# sigma_y and sigma_z act on a qubit's two halves as these factors (sigma_y after the swap)
+_SIGMA_Y_FACTORS = np.array([[-1j], [1j]])
+_SIGMA_Z_FACTORS = np.array([[1.0 + 0j], [-1.0 + 0j]])
+
+
+def _cross(a, b):
+    """a x b of two 3-vectors: np.cross's products and differences, on Python floats."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def _norm(v):
+    """Euclidean norm of a real array, computed as np.linalg.norm computes it."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
 
 @dataclass(frozen=True)
 class Direction:
@@ -39,7 +56,7 @@ class Direction:
         v = np.array(self.components, dtype=float)
         if v.shape != (3,):
             raise ValidationError(f"a direction needs 3 components, got shape {v.shape}")
-        if abs(np.linalg.norm(v) - 1.0) > UNIT_TOL:
+        if abs(_norm(v) - 1.0) > UNIT_TOL:
             raise ValidationError("direction is not a unit vector")
         v.setflags(write=False)
         object.__setattr__(self, "components", v)
@@ -48,7 +65,7 @@ class Direction:
 def unit(v):
     """Normalize a 3-vector into a Direction."""
     v = np.asarray(v, dtype=float)
-    norm = np.linalg.norm(v)
+    norm = _norm(v)
     if norm == 0.0:
         raise ValidationError("cannot normalize the zero vector")
     return Direction(v / norm)
@@ -69,7 +86,7 @@ class Frame:
         for a, b in ((e1, e2), (e1, e3), (e2, e3)):
             if abs(a @ b) > UNIT_TOL:
                 raise ValidationError("frame axes are not pairwise orthogonal")
-        if np.linalg.norm(np.cross(e1, e2) - e3) > 1e-10:
+        if _norm(_cross(e1, e2) - e3) > 1e-10:
             raise ValidationError("frame is not right-handed")
 
 
@@ -153,19 +170,29 @@ def apply_local_unitaries(state, local_unitary):
 
 
 def bloch_expectations(state, qubit_index):
-    """(<sigma_x>, <sigma_y>, <sigma_z>) of one qubit's reduced state."""
+    """(<sigma_x>, <sigma_y>, <sigma_z>) of one qubit's reduced state.
+
+    Each Pauli acts by index on a (2^(q-1), 2, rest) view of the amplitudes,
+    or of the density matrix's rows: sigma_x swaps the qubit's two halves,
+    sigma_y swaps them and multiplies them by (-i, i), sigma_z multiplies
+    them by (1, -1).  That is the arithmetic of applying the Pauli matrix
+    (_apply_pure, _apply_density_left), so the values keep their bits.
+    """
     n = state.num_qubits
     if not 1 <= qubit_index <= n:
         raise ValidationError(f"qubit index {qubit_index} outside 1..{n}")
     if isinstance(state, PureState):
-        amps = state.amplitudes
-        return np.array([
-            np.vdot(amps, _apply_pure(amps, n, qubit_index, p)).real for p in PAULIS])
-    if isinstance(state, DensityMatrix):
-        mat = state.matrix
-        return np.array([
-            np.trace(_apply_density_left(mat, n, qubit_index, p)).real for p in PAULIS])
-    raise ValidationError(f"cannot take Bloch expectations of {type(state).__name__}")
+        data = state.amplitudes
+    elif isinstance(state, DensityMatrix):
+        data = state.matrix
+    else:
+        raise ValidationError(f"cannot take Bloch expectations of {type(state).__name__}")
+    halves = data.reshape(2 ** (qubit_index - 1), 2, -1)
+    swapped = halves[:, ::-1]
+    applied = (swapped, swapped * _SIGMA_Y_FACTORS, halves * _SIGMA_Z_FACTORS)
+    if data.ndim == 1:
+        return np.array([np.vdot(data, a).real for a in applied])
+    return np.array([np.trace(a.reshape(data.shape)).real for a in applied])
 
 
 @_kept_per_state
@@ -270,20 +297,20 @@ def complete_frame(n0):
     frame meets the orthogonality invariant for every n0.
     """
     v = n0.components
-    c = np.cross(Z_AXIS, v)
-    if np.linalg.norm(c) < DEGENERATE_AXIS_TOL:
+    c = _cross(Z_AXIS, v)
+    if _norm(c) < DEGENERATE_AXIS_TOL:
         c = np.array([1.0, 0.0, 0.0])
     e1 = c - (c @ v) * v
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(v, e1)
-    e2 /= np.linalg.norm(e2)
+    e1 /= _norm(e1)
+    e2 = _cross(v, e1)
+    e2 /= _norm(e2)
     return Frame(Direction(e1), Direction(e2), n0)
 
 
 def rotation_matrix(axis, angle):
     """SO(3) rotation by `angle` about a unit `axis` (Rodrigues form)."""
     ax = np.asarray(axis, dtype=float)
-    ax = ax / np.linalg.norm(ax)
+    ax = ax / _norm(ax)
     k = np.array([
         [0.0, -ax[2], ax[1]],
         [ax[2], 0.0, -ax[0]],
@@ -298,7 +325,7 @@ def alignment_rotation_matrix(bloch):
     about x by pi.
     """
     s = np.asarray(bloch, dtype=float)
-    norm = np.linalg.norm(s)
+    norm = _norm(s)
     if norm == 0.0:
         raise ValidationError("cannot align a zero Bloch vector")
     v = s / norm
@@ -307,5 +334,5 @@ def alignment_rotation_matrix(bloch):
         return np.eye(3)
     if cos_angle < -1.0 + 1e-14:
         return rotation_matrix(np.array([1.0, 0.0, 0.0]), math.pi)
-    axis = np.cross(v, Z_AXIS)
+    axis = _cross(v, Z_AXIS)
     return rotation_matrix(axis, math.acos(cos_angle))

@@ -138,7 +138,11 @@ def is_exchange_symmetric(state):
 
 def _pair_density(svecs, table, i, j):
     """Reduced density matrix of 0-based qubits (i, j) from its first and second moments."""
-    r = np.block([[np.ones((1, 1)), svecs[j][None]], [svecs[i][:, None], table[i, j]]])
+    r = np.empty((4, 4))
+    r[0, 0] = 1.0
+    r[0, 1:] = svecs[j]
+    r[1:, 0] = svecs[i]
+    r[1:, 1:] = table[i, j]
     return 0.25 * np.einsum("mn,mnab->ab", r, PAIR_BASIS)
 
 

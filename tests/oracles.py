@@ -4,7 +4,9 @@ They work on the full state vector or density matrix, not on the moment
 layer: collective moments for arbitrary per-qubit frames, the SU(2) to SO(3)
 map, and the local-frame aligned pair sum evaluated by rotating the state.
 More rebuild earlier constructions the package must match bit for bit:
-the Dicke-basis operators by dense matrix arithmetic, state-file documents
+the Dicke-basis operators by dense matrix arithmetic, Bloch expectations by
+applying each Pauli matrix, frames and alignment rotations by np.cross and
+np.linalg.norm, a pair density assembled by np.block, state-file documents
 as nested lists of Python floats, and the parse of their [re, im] arrays one
 Python complex per entry.
 """
@@ -15,6 +17,8 @@ import numpy as np
 
 from spinsqueeze import (
     DensityMatrix,
+    Direction,
+    Frame,
     LocalUnitary,
     MixtureTerm,
     PureState,
@@ -25,6 +29,7 @@ from spinsqueeze import (
     pair_correlation_sum,
 )
 from spinsqueeze.operators import (
+    DEGENERATE_AXIS_TOL,
     IDENTITY2,
     PAULIS,
     UNITARY_TOL,
@@ -32,6 +37,7 @@ from spinsqueeze.operators import (
     _apply_density_left,
     _apply_pure,
 )
+from spinsqueeze.reductions import PAIR_BASIS
 from spinsqueeze.statefile import FORMAT_VERSION
 
 # The number types json.loads gives; bool, a subclass of int, is not one of them.
@@ -83,6 +89,56 @@ def rotated_pair_sum(state):
     rotation = LocalUnitary(
         tuple(bloch_alignment_unitary(s) for s in bloch_vectors(state)))
     return pair_correlation_sum(apply_local_unitaries(state, rotation)) / 2
+
+
+def operator_bloch_expectations(state, qubit_index):
+    """(<sigma_x>, <sigma_y>, <sigma_z>) of one qubit, applying each Pauli matrix to the state."""
+    n = state.num_qubits
+    if isinstance(state, PureState):
+        amps = state.amplitudes
+        return np.array([
+            np.vdot(amps, _apply_pure(amps, n, qubit_index, p)).real for p in PAULIS])
+    mat = state.matrix
+    return np.array([
+        np.trace(_apply_density_left(mat, n, qubit_index, p)).real for p in PAULIS])
+
+
+def numpy_complete_frame(n0):
+    """complete_frame with np.cross and np.linalg.norm."""
+    v = n0.components
+    c = np.cross(Z_AXIS, v)
+    if np.linalg.norm(c) < DEGENERATE_AXIS_TOL:
+        c = np.array([1.0, 0.0, 0.0])
+    e1 = c - (c @ v) * v
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(v, e1)
+    e2 /= np.linalg.norm(e2)
+    return Frame(Direction(e1), Direction(e2), n0)
+
+
+def numpy_alignment_rotation_matrix(bloch):
+    """alignment_rotation_matrix with np.cross and np.linalg.norm (Rodrigues form)."""
+    s = np.asarray(bloch, dtype=float)
+    v = s / np.linalg.norm(s)
+    cos_angle = float(np.clip(v @ Z_AXIS, -1.0, 1.0))
+    if cos_angle > 1.0 - 1e-14:
+        return np.eye(3)
+    if cos_angle < -1.0 + 1e-14:
+        axis, angle = np.array([1.0, 0.0, 0.0]), math.pi
+    else:
+        axis, angle = np.cross(v, Z_AXIS), math.acos(cos_angle)
+    ax = axis / np.linalg.norm(axis)
+    k = np.array([
+        [0.0, -ax[2], ax[1]],
+        [ax[2], 0.0, -ax[0]],
+        [-ax[1], ax[0], 0.0]])
+    return np.eye(3) + math.sin(angle) * k + (1 - math.cos(angle)) * (k @ k)
+
+
+def block_pair_density(svecs, table, i, j):
+    """Reduced density matrix of 0-based qubits (i, j), its moment matrix assembled by np.block."""
+    r = np.block([[np.ones((1, 1)), svecs[j][None]], [svecs[i][:, None], table[i, j]]])
+    return 0.25 * np.einsum("mn,mnab->ab", r, PAIR_BASIS)
 
 
 def _projected_spin_applications(state, directions):

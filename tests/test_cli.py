@@ -386,6 +386,51 @@ def test_sweep_schmidt_refuses_an_n_other_than_2(capsys):
     assert capsys.readouterr().out.count("\n") == 3
 
 
+def test_parameters_a_kind_does_not_read_are_refused(tmp_path, capsys):
+    sweep = ["--start", "0", "--stop", "0.2", "--points", "2"]
+    cases = [
+        (["generate", "css", "--n", "2", "--mu", "0.5", "--k", "7", "--terms", "9", "--seed", "3"],
+         "generate css does not read --mu, --k, --terms, --seed"),
+        (["generate", "css", "--n", "2", "--qubit", "1,0"], "generate css does not read --qubit"),
+        # a given value is refused even when it equals the default
+        (["generate", "twisted", "--n", "2", "--theta", "0", "--phi", "0"],
+         "generate twisted does not read --theta, --phi"),
+        (["generate", "dicke", "--n", "3", "--k", "1", "--mu", "0"],
+         "generate dicke does not read --mu"),
+        (["generate", "product", "--qubit", "1,0", "--seed", "0"],
+         "generate product does not read --seed"),
+        (["generate", "random-separable", "--n", "2", "--k", "1"],
+         "generate random-separable does not read --k"),
+        (["sweep", "twisted", "--n", "3", "--phi", "0.4", *sweep],
+         "sweep twisted does not read --phi"),
+        (["sweep", "schmidt", "--phi", "0", *sweep], "sweep schmidt does not read --phi"),
+    ]
+    for argv, message in cases:
+        assert run_cli(*argv, "--output", str(tmp_path / "out")) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_parameters_a_kind_reads_may_be_given_at_their_defaults(capsys):
+    pairs = [
+        (["generate", "css", "--n", "3"], ["--theta", "0", "--phi", "0"]),
+        (["generate", "twisted", "--n", "3"], ["--mu", "0"]),
+        (["generate", "dicke", "--n", "3"], ["--k", "0"]),
+        (["generate", "product", "--qubit", "1,0"], ["--n", "1"]),
+        (["generate", "random-separable", "--n", "2"], ["--terms", "1", "--seed", "0"]),
+        (["sweep", "css", "--start", "0", "--stop", "1", "--points", "2"],
+         ["--n", "2", "--phi", "0"]),
+        (["sweep", "twisted", "--start", "0", "--stop", "1", "--points", "2"], ["--n", "2"]),
+    ]
+    for argv, defaults in pairs:
+        assert run_cli(*argv) == 0
+        implicit = capsys.readouterr().out
+        assert run_cli(*argv, *defaults) == 0
+        assert capsys.readouterr().out == implicit, argv
+
+
 def test_sweep_twisted_shows_squeezing(tmp_path):
     out = tmp_path / "tw.csv"
     assert run_cli("sweep", "twisted", "--n", "10", "--start", "0.05",
