@@ -33,11 +33,9 @@ from .operators import (
     unit,
 )
 from .reductions import (
-    correlation_matrix,
     is_exchange_symmetric,
     pair_correlation_sum,
     pair_correlations,
-    reduce,
     symmetric_moments,
 )
 from .squeezing import (

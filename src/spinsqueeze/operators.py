@@ -172,27 +172,32 @@ def apply_local_unitaries(state, local_unitary):
 def bloch_expectations(state, qubit_index):
     """(<sigma_x>, <sigma_y>, <sigma_z>) of one qubit's reduced state.
 
-    Each Pauli acts by index on a (2^(q-1), 2, rest) view of the amplitudes,
-    or of the density matrix's rows: sigma_x swaps the qubit's two halves,
-    sigma_y swaps them and multiplies them by (-i, i), sigma_z multiplies
-    them by (1, -1).  That is the arithmetic of applying the Pauli matrix
-    (_apply_pure, _apply_density_left), so the values keep their bits.
+    Each Pauli acts by index on a (2^(q-1), 2, rest) view of the amplitudes:
+    sigma_x swaps the qubit's two halves, sigma_y swaps them and multiplies
+    them by (-i, i), sigma_z multiplies them by (1, -1).  Tr(P rho) of a
+    density matrix reads only the 2^N entries that trace would: rho[r ^ bit, r]
+    (times (-i, i) for sigma_y) and +-rho[r, r], summed in row order.  That is
+    the arithmetic of applying the Pauli matrix (_apply_pure,
+    _apply_density_left), so the values keep their bits.
     """
     n = state.num_qubits
     if not 1 <= qubit_index <= n:
         raise ValidationError(f"qubit index {qubit_index} outside 1..{n}")
+    split = (2 ** (qubit_index - 1), 2, -1)
     if isinstance(state, PureState):
-        data = state.amplitudes
-    elif isinstance(state, DensityMatrix):
-        data = state.matrix
-    else:
+        amps = state.amplitudes
+        halves = amps.reshape(split)
+        swapped = halves[:, ::-1]
+        applied = (swapped, swapped * _SIGMA_Y_FACTORS, halves * _SIGMA_Z_FACTORS)
+        return np.array([np.vdot(amps, a).real for a in applied])
+    if not isinstance(state, DensityMatrix):
         raise ValidationError(f"cannot take Bloch expectations of {type(state).__name__}")
-    halves = data.reshape(2 ** (qubit_index - 1), 2, -1)
-    swapped = halves[:, ::-1]
-    applied = (swapped, swapped * _SIGMA_Y_FACTORS, halves * _SIGMA_Z_FACTORS)
-    if data.ndim == 1:
-        return np.array([np.vdot(data, a).real for a in applied])
-    return np.array([np.trace(a.reshape(data.shape)).real for a in applied])
+    mat = state.matrix
+    rows = np.arange(len(mat))
+    flipped = mat[rows ^ (len(mat) >> qubit_index), rows].reshape(split)
+    diagonal = mat.diagonal().reshape(split)
+    traced = (flipped, flipped * _SIGMA_Y_FACTORS, diagonal * _SIGMA_Z_FACTORS)
+    return np.array([t.sum().real for t in traced])
 
 
 @_kept_per_state

@@ -1,4 +1,9 @@
-"""Reduced density matrices and two-qubit pair correlation structure."""
+"""Two-qubit pair correlation structure, read straight from the state.
+
+Each pair's correlation matrix comes from its 4x4 reduction, taken from the
+amplitudes or the density matrix with no DensityMatrix built or validated;
+symmetric states read theirs off the Dicke-basis moments.
+"""
 
 from itertools import combinations
 
@@ -6,13 +11,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .operators import IDENTITY2, PAULIS, bloch_vectors, dicke_moments
-from .states import (
-    DensityMatrix,
-    PureState,
-    SymmetricState,
-    _kept_per_state,
-    _require_full_vector_capacity,
-)
+from .states import PureState, SymmetricState, _kept_per_state, _require_full_vector_capacity
 
 ENTRY_TOL = 1e-10
 SYMMETRY_TOL = 1e-8
@@ -26,39 +25,6 @@ PAIR_BASIS = np.stack(
 PAIR_PAULIS = PAIR_BASIS[1:, 1:]
 
 
-def reduce(state, subset):
-    """Partial trace onto the given 1-based qubit subset (in subset order)."""
-    n = state.num_qubits
-    subset = list(subset)
-    if not subset:
-        raise ValidationError("subset must be non-empty")
-    if len(set(subset)) != len(subset):
-        raise ValidationError(f"subset {subset} contains duplicate indices")
-    for q in subset:
-        if not 1 <= q <= n:
-            raise ValidationError(f"qubit index {q} outside 1..{n}")
-    keep = [q - 1 for q in subset]
-    rest = [a for a in range(n) if a not in keep]
-    k = len(keep)
-    if isinstance(state, PureState):
-        t = state.amplitudes.reshape([2] * n).transpose(keep + rest)
-        m = t.reshape(2**k, -1)
-        rho = m @ m.conj().T
-        return DensityMatrix(k, _rehermitize(rho))
-    if isinstance(state, DensityMatrix):
-        t = state.matrix.reshape([2] * (2 * n))
-        row = keep + rest
-        col = [n + a for a in keep] + [n + a for a in rest]
-        t = t.transpose(row + col).reshape(2**k, 2**(n - k), 2**k, 2**(n - k))
-        rho = np.einsum("arbr->ab", t)
-        return DensityMatrix(k, _rehermitize(rho))
-    raise ValidationError(f"cannot reduce a {type(state).__name__}")
-
-
-def _rehermitize(rho):
-    return (rho + rho.conj().T) / 2
-
-
 def _clipped(t):
     """Correlation entries clipped to [-1, 1] within ENTRY_TOL, read-only."""
     t = np.clip(t, -1.0 - ENTRY_TOL, 1.0 + ENTRY_TOL)
@@ -66,11 +32,21 @@ def _clipped(t):
     return t
 
 
-def correlation_matrix(state, i, j):
-    """Pair correlation matrix T_ab = <sigma_{i a} sigma_{j b}> as a read-only (3, 3) array."""
-    if i == j:
-        raise ValidationError("correlation matrix needs two distinct qubits")
-    rho = reduce(state, [i, j]).matrix
+def _pair_correlation(state, i, j):
+    """T_ab = <sigma_{i a} sigma_{j b}> of 0-based qubits i < j, read off the pair's reduction.
+
+    The pair's axes go first; its 4x4 reduction is m m^dag of the pure
+    amplitudes, or the partial trace of the density matrix, made Hermitian.
+    """
+    n = state.num_qubits
+    order = [i, j] + [a for a in range(n) if a not in (i, j)]
+    if isinstance(state, PureState):
+        m = state.amplitudes.reshape([2] * n).transpose(order).reshape(4, -1)
+        rho = m @ m.conj().T
+    else:
+        t = state.matrix.reshape([2] * (2 * n)).transpose(order + [n + a for a in order])
+        rho = np.einsum("arbr->ab", t.reshape(4, 2 ** (n - 2), 4, 2 ** (n - 2)))
+    rho = (rho + rho.conj().T) / 2
     return _clipped(np.einsum("ab,xyba->xy", rho, PAIR_PAULIS).real)
 
 
@@ -86,7 +62,7 @@ def pair_correlations(state):
     table = np.zeros((n, n, 3, 3))
     for i, j in combinations(range(n), 2):
         t = (symmetric_moments(state)[1] if isinstance(state, SymmetricState)
-             else correlation_matrix(state, i + 1, j + 1))
+             else _pair_correlation(state, i, j))
         table[i, j] = t
         table[j, i] = t.T
     table.setflags(write=False)

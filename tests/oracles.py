@@ -6,9 +6,10 @@ map, and the local-frame aligned pair sum evaluated by rotating the state.
 More rebuild earlier constructions the package must match bit for bit:
 the Dicke-basis operators by dense matrix arithmetic, Bloch expectations by
 applying each Pauli matrix, frames and alignment rotations by np.cross and
-np.linalg.norm, a pair density assembled by np.block, state-file documents
-as nested lists of Python floats, and the parse of their [re, im] arrays one
-Python complex per entry.
+np.linalg.norm, a pair density assembled by np.block, pair correlations
+through a general partial trace and a validated DensityMatrix, state-file
+documents as nested lists of Python floats, and the parse of their [re, im]
+arrays one Python complex per entry.
 """
 
 import math
@@ -37,7 +38,7 @@ from spinsqueeze.operators import (
     _apply_density_left,
     _apply_pure,
 )
-from spinsqueeze.reductions import PAIR_BASIS
+from spinsqueeze.reductions import PAIR_BASIS, PAIR_PAULIS, _clipped
 from spinsqueeze.statefile import FORMAT_VERSION
 
 # The number types json.loads gives; bool, a subclass of int, is not one of them.
@@ -139,6 +140,34 @@ def block_pair_density(svecs, table, i, j):
     """Reduced density matrix of 0-based qubits (i, j), its moment matrix assembled by np.block."""
     r = np.block([[np.ones((1, 1)), svecs[j][None]], [svecs[i][:, None], table[i, j]]])
     return 0.25 * np.einsum("mn,mnab->ab", r, PAIR_BASIS)
+
+
+def partial_trace(state, subset):
+    """Partial trace onto the given 1-based qubit subset (in subset order), as a DensityMatrix.
+
+    The reduction is made Hermitian, (rho + rho^dag)/2, and validated.
+    """
+    n = state.num_qubits
+    keep = [q - 1 for q in subset]
+    rest = [a for a in range(n) if a not in keep]
+    k = len(keep)
+    if isinstance(state, PureState):
+        t = state.amplitudes.reshape([2] * n).transpose(keep + rest)
+        m = t.reshape(2**k, -1)
+        rho = m @ m.conj().T
+    else:
+        t = state.matrix.reshape([2] * (2 * n))
+        row = keep + rest
+        col = [n + a for a in keep] + [n + a for a in rest]
+        t = t.transpose(row + col).reshape(2**k, 2**(n - k), 2**k, 2**(n - k))
+        rho = np.einsum("arbr->ab", t)
+    return DensityMatrix(k, (rho + rho.conj().T) / 2)
+
+
+def traced_correlation_matrix(state, i, j):
+    """T_ab = <sigma_{i a} sigma_{j b}> of 1-based qubits i != j, from partial_trace."""
+    rho = partial_trace(state, [i, j]).matrix
+    return _clipped(np.einsum("ab,xyba->xy", rho, PAIR_PAULIS).real)
 
 
 def _projected_spin_applications(state, directions):

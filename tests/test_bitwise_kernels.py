@@ -1,6 +1,7 @@
 """The moment layer's index kernels against the numpy forms they replace, bit for bit.
 
-Bloch expectations act on the state by index, and frames, unit vectors and
+Bloch expectations act on the state by index, pair correlations read each
+pair's reduction straight from the state, and frames, unit vectors and
 alignment rotations use scalar 3-vector algebra.  Each must give the same
 IEEE result as the form in tests/oracles.py, so every comparison is of the
 raw bytes (zero signs included), never within a tolerance.
@@ -16,6 +17,7 @@ from oracles import (
     numpy_alignment_rotation_matrix,
     numpy_complete_frame,
     operator_bloch_expectations,
+    traced_correlation_matrix,
 )
 from spinsqueeze import (
     DensityMatrix,
@@ -51,7 +53,7 @@ def _twisted_states():
 def _densities():
     rng = np.random.default_rng(1802)
     states = []
-    for n in range(2, 9):
+    for n in range(2, 11):
         states.append(random_separable_state(n, 3, 1802 + n))
         psi = haar_pure_state(n, rng).amplitudes
         for p in (0.2, 0.9):  # noisy: p |psi><psi| + (1 - p) I / 2^n
@@ -89,6 +91,17 @@ def test_bloch_expectations_equal_the_operator_route_bit_for_bit(family):
             assert bloch_expectations(state, q).tobytes() == expected[q - 1].tobytes(), (
                 family, state.num_qubits, q)
         assert bloch_vectors(state).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(STATE_FAMILIES))
+def test_pair_correlations_equal_the_partial_trace_route_bit_for_bit(family):
+    for state in STATE_FAMILIES[family]():
+        table = pair_correlations(state)
+        for i in range(state.num_qubits):
+            for j in range(i + 1, state.num_qubits):
+                expected = traced_correlation_matrix(state, i + 1, j + 1)
+                assert table[i, j].tobytes() == expected.tobytes(), (family, state.num_qubits, i, j)
+                assert table[j, i].tobytes() == expected.T.tobytes()
 
 
 def test_bloch_vectors_apply_no_pauli_matrix(monkeypatch):

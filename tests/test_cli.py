@@ -184,6 +184,56 @@ def test_analyze_rejects_infinite_density_entry(tmp_path, capsys):
     assert err.startswith("error: matrix is not Hermitian: entry (0, 0) is (inf+0j), not finite")
 
 
+def _pure_document(n, norm, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    amps *= norm / np.linalg.norm(amps)
+    return {"format_version": "1", "kind": "pure", "num_qubits": n,
+            "amplitudes": [[float(z.real), float(z.imag)] for z in amps]}
+
+
+def _diagonal_density_document(n, low):
+    # |0...00> and |0...01> weigh `low`; the other basis states share the rest
+    diag = np.full(2**n, (1 - 2 * low) / (2**n - 2))
+    diag[:2] = low
+    return {"format_version": "1", "kind": "density", "num_qubits": n,
+            "matrix": [[[float(diag[r]) if r == c else 0.0, 0.0] for c in range(2**n)]
+                       for r in range(2**n)]}
+
+
+def test_analyze_reads_files_inside_the_reader_tolerances(tmp_path, capsys):
+    # the reader accepts a norm within 1e-12 of 1 and eigenvalues down to
+    # -1e-10; the pair reductions derived from such a state are not validated
+    # again, so their own trace (the norm squared) or eigenvalues cannot
+    # refuse a file the reader took
+    documents = {
+        "pure2": _pure_document(2, 1 + 0.9e-12, 1),
+        "pure3": _pure_document(3, 1 + 0.9e-12, 2),
+        "density3": _diagonal_density_document(3, -9e-11),
+    }
+    for name, document in documents.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(document))
+        for fmt in ("text", "machine"):
+            assert run_cli("analyze", str(path), "--format", fmt) == 0, (name, fmt)
+            assert capsys.readouterr().err == ""
+
+
+def test_analyze_refuses_files_just_outside_the_reader_tolerances(tmp_path, capsys):
+    documents = {
+        "pure2": (_pure_document(2, 1 + 2e-12, 1),
+                  r"error: state norm 1\.00000000000[12]\d* differs from 1 by more than 1e-12\n"),
+        "density3": (_diagonal_density_document(3, -2e-10),
+                     r"error: matrix has an eigenvalue below the positivity tolerance\n"),
+    }
+    for name, (document, message) in documents.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(document))
+        for fmt in ("text", "machine"):
+            assert run_cli("analyze", str(path), "--format", fmt) == 2, (name, fmt)
+            assert re.fullmatch(message, capsys.readouterr().err), (name, fmt)
+
+
 def test_analyze_rejects_ragged_matrix_rows(tmp_path, capsys):
     files = {
         "matrix": '{"format_version": "1", "kind": "density", "num_qubits": 1, '

@@ -15,7 +15,6 @@ from spinsqueeze import (
     analyze_state,
     bloch_vectors,
     coherent_spin_state,
-    correlation_matrix,
     dicke_moments,
     embed_symmetric,
     is_exchange_symmetric,
@@ -28,7 +27,7 @@ from spinsqueeze import entanglement, operators, reductions, squeezing, states
 from spinsqueeze.cli import main
 from spinsqueeze.sampling import haar_pure_state
 
-from oracles import dense_collective_operators
+from oracles import dense_collective_operators, partial_trace, traced_correlation_matrix
 
 
 @pytest.fixture
@@ -224,7 +223,7 @@ def test_stored_arrays_are_read_only():
     svecs = bloch_vectors(pure)
     dicke_st = symmetric_moments(symmetric)
     pure_st = symmetric_moments(pure)
-    pair = correlation_matrix(pure, 1, 2)
+    pair = pair_correlations(pure)[0, 1]
     assert pair.shape == (3, 3)
     for arr in (mean, second, dicke_svecs, svecs, pair, *dicke_st, *pure_st):
         with pytest.raises(ValueError):
@@ -243,7 +242,7 @@ def test_stored_arrays_are_read_only():
 def test_pair_correlations_are_read_only_and_kept():
     haar = haar_pure_state(5, np.random.default_rng(3))
     symmetric = one_axis_twisted_state(5, 0.3)
-    for state, pair in ((haar, lambda i, j: correlation_matrix(haar, i + 1, j + 1)),
+    for state, pair in ((haar, lambda i, j: traced_correlation_matrix(haar, i + 1, j + 1)),
                         (symmetric, lambda i, j: symmetric_moments(symmetric)[1])):
         table = pair_correlations(state)
         assert table.shape == (5, 5, 3, 3)
@@ -271,35 +270,70 @@ def test_symmetry_verdict_reads_the_pair_table(make, symmetric, monkeypatch):
         for j in range(n):
             if i != j:
                 rebuilt = reductions._pair_density(svecs, table, i, j)
-                direct = reductions.reduce(state, [i + 1, j + 1]).matrix
+                direct = partial_trace(state, [i + 1, j + 1]).matrix
                 assert np.max(np.abs(rebuilt - direct)) < 1e-14
 
-    def no_reduction(target, subset):
+    def no_reduction(target, i, j):
         raise AssertionError("the symmetry test took a partial trace")
 
-    monkeypatch.setattr(reductions, "reduce", no_reduction)
+    monkeypatch.setattr(reductions, "_pair_correlation", no_reduction)
     assert is_exchange_symmetric(state) is symmetric
 
 
-def test_analyze_takes_each_pair_reduction_once(monkeypatch):
+@pytest.fixture
+def pair_steps(monkeypatch):
+    """(state, i, j) of every per-pair step, reductions._pair_correlation, in call order."""
+    steps = []
+    original = reductions._pair_correlation
+
+    def counting(target, i, j):
+        steps.append((target, i, j))
+        return original(target, i, j)
+
+    monkeypatch.setattr(reductions, "_pair_correlation", counting)
+    return steps
+
+
+def _assert_one_step_per_pair(state, steps):
+    n = state.num_qubits
+    assert all(target is state for target, _, _ in steps)
+    assert sorted((i, j) for _, i, j in steps) == [
+        (i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def test_analyze_takes_each_pair_reduction_once(pair_steps):
     # every pair consumer, the local-frame closed form included, reads the one
     # pair table of the state, so the state is reduced once per pair and
     # nothing else is reduced
     state = haar_pure_state(8, np.random.default_rng(5))
-    reduced = []
-    original_reduce = reductions.reduce
-
-    def counting_reduce(target, subset):
-        reduced.append((target, list(subset)))
-        return original_reduce(target, subset)
-
-    monkeypatch.setattr(reductions, "reduce", counting_reduce)
     analyze_state(state)
+    assert len(pair_steps) == 28
+    _assert_one_step_per_pair(state, pair_steps)
 
-    assert len(reduced) == 28
-    assert all(target is state for target, _ in reduced)
-    assert sorted(tuple(subset) for _, subset in reduced) == [
-        (i, j) for i in range(1, 9) for j in range(i + 1, 9)]
+
+def test_analyze_of_a_density_matrix_takes_each_pair_reduction_once(pair_steps):
+    state = random_separable_state(6, 3, seed=6)
+    analyze_state(state)
+    assert len(pair_steps) == 15
+    _assert_one_step_per_pair(state, pair_steps)
+
+
+def test_pair_correlations_validate_no_density_matrix(monkeypatch):
+    # a pair's reduction is read straight from the state: no DensityMatrix is
+    # built for it, so none is validated
+    rng = np.random.default_rng(9)
+    targets = [haar_pure_state(6, rng), random_separable_state(5, 3, seed=9)]
+    validated = []
+    original = DensityMatrix.__post_init__
+
+    def counting(self):
+        validated.append(self)
+        original(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+    for state in targets:
+        assert pair_correlations(state).shape == (state.num_qubits,) * 2 + (3, 3)
+    assert validated == []
 
 
 @pytest.mark.parametrize("run", [
@@ -308,26 +342,22 @@ def test_analyze_takes_each_pair_reduction_once(monkeypatch):
     lambda: main(["sweep", "twisted", "--n", "5", "--start", "0.1", "--stop", "0.3",
                   "--points", "3"]) == 0,
 ], ids=["analyze-twisted5", "analyze-css6", "sweep-twisted5"])
-def test_symmetric_analysis_never_embeds_or_reduces(run, monkeypatch):
+def test_symmetric_analysis_never_embeds_or_reduces(run, pair_steps, monkeypatch):
     # a SymmetricState's Bloch vectors and pair table come from its Dicke
     # moments: no 2^N vector is built and no partial trace is taken
     calls = []
-    embed, original_reduce = states.embed_symmetric, reductions.reduce
+    embed = states.embed_symmetric
 
     def counting_embed(state):
         calls.append("embed_symmetric")
         return embed(state)
 
-    def counting_reduce(target, subset):
-        calls.append("reduce")
-        return original_reduce(target, subset)
-
     for name, module in list(sys.modules.items()):
         if name.startswith("spinsqueeze") and getattr(module, "embed_symmetric", None) is embed:
             monkeypatch.setattr(module, "embed_symmetric", counting_embed)
-    monkeypatch.setattr(reductions, "reduce", counting_reduce)
     assert run()
     assert calls == []
+    assert pair_steps == []
 
 
 def _fresh_copy(state):
