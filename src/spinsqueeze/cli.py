@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 verification failure, 2 input or usage error.
 """
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -240,11 +241,7 @@ def _cmd_verify(args):
             "suite": result.suite,
             "seed": args.seed,
             "passed": result.passed,
-            "checks": [
-                {"name": c.name, "instances": c.instances, "worst": c.worst,
-                 "tolerance": c.tolerance, "passed": c.passed, "note": c.note}
-                for c in result.checks
-            ],
+            "checks": [dataclasses.asdict(c) for c in result.checks],
             "replay_files": replay_paths,
         }
         sys.stdout.write(render_json(doc) + "\n")

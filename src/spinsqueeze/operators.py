@@ -112,39 +112,17 @@ class LocalUnitary:
     def num_qubits(self):
         return len(self.per_qubit)
 
-    @classmethod
-    def identity(cls, num_qubits):
-        return cls(tuple(IDENTITY2 for _ in range(num_qubits)))
 
-    @classmethod
-    def single(cls, num_qubits, qubit, u):
-        """Identity everywhere except `u` on the given 1-based qubit."""
-        mats = [IDENTITY2] * num_qubits
-        mats[qubit - 1] = u
-        return cls(tuple(mats))
+def _apply_on_axis(array, axis, op):
+    """Apply a 2x2 operator to one axis (0-based) of an array read as qubit axes.
 
-
-def _apply_pure(amps, num_qubits, qubit, op):
-    """Apply a 2x2 operator to one qubit (1-based) of an amplitude vector."""
-    t = amps.reshape([2] * num_qubits)
-    t = np.moveaxis(t, qubit - 1, 0)
-    t = (op @ t.reshape(2, -1)).reshape([2] * num_qubits)
-    return np.moveaxis(t, 0, qubit - 1).reshape(-1)
-
-
-def _apply_density_left(mat, num_qubits, qubit, op):
-    """op acting on the row index of a density matrix (op @ rho)."""
-    dim = 2**num_qubits
-    t = mat.reshape([2] * num_qubits + [dim])
-    t = np.moveaxis(t, qubit - 1, 0)
-    t = (op @ t.reshape(2, -1)).reshape([2] * num_qubits + [dim])
-    return np.moveaxis(t, 0, qubit - 1).reshape(dim, dim)
-
-
-def _apply_density_right(mat, num_qubits, qubit, op):
-    """op acting on the column index of a density matrix (rho @ op)."""
-    # rho @ op = (op^dag @ rho^dag)^dag
-    return _apply_density_left(mat.conj().T, num_qubits, qubit, op.conj().T).conj().T
+    An amplitude vector has N qubit axes; a density matrix has 2N, its row
+    qubits first, so axis q - 1 is the row index of qubit q (op @ rho).
+    """
+    qubits = [2] * (array.size.bit_length() - 1)
+    t = np.moveaxis(array.reshape(qubits), axis, 0)
+    t = (op @ t.reshape(2, -1)).reshape(qubits)
+    return np.moveaxis(t, 0, axis).reshape(array.shape)
 
 
 def apply_local_unitaries(state, local_unitary):
@@ -156,14 +134,15 @@ def apply_local_unitaries(state, local_unitary):
     n = state.num_qubits
     if isinstance(state, PureState):
         amps = state.amplitudes
-        for q, u in enumerate(local_unitary.per_qubit, start=1):
-            amps = _apply_pure(amps, n, q, u)
+        for axis, u in enumerate(local_unitary.per_qubit):
+            amps = _apply_on_axis(amps, axis, u)
         return PureState(n, amps)
     if isinstance(state, DensityMatrix):
         mat = state.matrix
-        for q, u in enumerate(local_unitary.per_qubit, start=1):
-            mat = _apply_density_left(mat, n, q, u)
-            mat = _apply_density_right(mat, n, q, u.conj().T)
+        for axis, u in enumerate(local_unitary.per_qubit):
+            mat = _apply_on_axis(mat, axis, u)
+            # rho @ u^dag as (u rho^dag)^dag, the arithmetic earlier outputs were made with
+            mat = _apply_on_axis(mat.conj().T, axis, u).conj().T
         mat = (mat + mat.conj().T) / 2
         return DensityMatrix(n, mat)
     raise ValidationError(f"cannot apply local unitaries to {type(state).__name__}")
@@ -177,8 +156,8 @@ def bloch_expectations(state, qubit_index):
     them by (-i, i), sigma_z multiplies them by (1, -1).  Tr(P rho) of a
     density matrix reads only the 2^N entries that trace would: rho[r ^ bit, r]
     (times (-i, i) for sigma_y) and +-rho[r, r], summed in row order.  That is
-    the arithmetic of applying the Pauli matrix (_apply_pure,
-    _apply_density_left), so the values keep their bits.
+    the arithmetic of applying the Pauli matrix with _apply_on_axis, so the
+    values keep their bits.
     """
     n = state.num_qubits
     if not 1 <= qubit_index <= n:

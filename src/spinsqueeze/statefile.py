@@ -265,8 +265,3 @@ def load_document(path):
         raise ValidationError(f"state file is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ValidationError("state file nests too deeply to parse") from exc
-
-
-def load_state(path):
-    """Read, parse and validate a state file; mixtures come back as term lists."""
-    return document_to_state(load_document(path)[0])

@@ -108,10 +108,6 @@ class PureState:
         if not abs(norm - 1.0) <= NORM_TOL:
             raise ValidationError(f"state norm {norm!r} differs from 1 by more than {NORM_TOL}")
 
-    @property
-    def dim(self):
-        return 2**self.num_qubits
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -135,10 +131,6 @@ class DensityMatrix:
             raise ValidationError(f"trace {trace!r} differs from 1 by more than {HERMITIAN_TOL}")
         if np.linalg.eigvalsh(mat).min() < -EIGENVALUE_TOL:
             raise ValidationError("matrix has an eigenvalue below the positivity tolerance")
-
-    @property
-    def dim(self):
-        return 2**self.num_qubits
 
 
 @dataclass(frozen=True)
@@ -298,7 +290,11 @@ def embed_symmetric(state):
 
 
 def mix(terms):
-    """Convex mixture of product terms: rho = sum_k p_k (rho_1 x ... x rho_N)."""
+    """Convex mixture of product terms: rho = sum_k p_k (rho_1 x ... x rho_N).
+
+    A weight that MixtureTerm accepted below 0 (within WEIGHT_SUM_TOL) is
+    mixed as 0.
+    """
     if len(terms) < 1:
         raise ValidationError("at least one mixture term is required")
     n = terms[0].num_qubits
@@ -311,13 +307,18 @@ def mix(terms):
     _require_density_capacity(n)
     rho = np.zeros((2**n, 2**n), dtype=complex)
     for t in terms:
-        prod = np.array([[t.weight]], dtype=complex)
+        prod = np.array([[max(t.weight, 0.0)]], dtype=complex)
         for f in t.factors:
             prod = np.kron(prod, f)
         rho += prod
     # renormalize away accumulated float error so the invariant check is exact
     rho /= np.trace(rho).real
-    return DensityMatrix(n, rho)
+    try:
+        return DensityMatrix(n, rho)
+    except ValidationError as exc:
+        # each term passed its own checks; say that their mix is what fails
+        raise ValidationError(
+            f"the mix of the mixture terms is not a density matrix: {exc}") from exc
 
 
 def random_separable_terms(num_qubits, num_terms, seed):

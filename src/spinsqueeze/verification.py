@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entanglement import concurrence_pure, invariant_I, verify_identity_imp1
-from .operators import apply_local_unitaries, bloch_vectors, unit
+from .operators import apply_local_unitaries, bloch_vectors, complete_frame, unit
 from .sampling import (
     haar_pure_state,
     pure_state_with_nonzero_bloch,
@@ -198,8 +198,6 @@ def run_oracle(seed):
 
 
 def _grid_search_min(matrix, n0, points):
-    from .operators import complete_frame
-
     frame = complete_frame(n0)
     e1 = frame.n_perp.components
     e2 = frame.n_perp_prime.components

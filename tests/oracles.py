@@ -35,8 +35,7 @@ from spinsqueeze.operators import (
     PAULIS,
     UNITARY_TOL,
     Z_AXIS,
-    _apply_density_left,
-    _apply_pure,
+    _apply_on_axis,
 )
 from spinsqueeze.reductions import PAIR_BASIS, PAIR_PAULIS, _clipped
 from spinsqueeze.statefile import FORMAT_VERSION
@@ -94,14 +93,12 @@ def rotated_pair_sum(state):
 
 def operator_bloch_expectations(state, qubit_index):
     """(<sigma_x>, <sigma_y>, <sigma_z>) of one qubit, applying each Pauli matrix to the state."""
-    n = state.num_qubits
+    axis = qubit_index - 1
     if isinstance(state, PureState):
         amps = state.amplitudes
-        return np.array([
-            np.vdot(amps, _apply_pure(amps, n, qubit_index, p)).real for p in PAULIS])
+        return np.array([np.vdot(amps, _apply_on_axis(amps, axis, p)).real for p in PAULIS])
     mat = state.matrix
-    return np.array([
-        np.trace(_apply_density_left(mat, n, qubit_index, p)).real for p in PAULIS])
+    return np.array([np.trace(_apply_on_axis(mat, axis, p)).real for p in PAULIS])
 
 
 def numpy_complete_frame(n0):
@@ -172,16 +169,11 @@ def traced_correlation_matrix(state, i, j):
 
 def _projected_spin_applications(state, directions):
     """Apply J.n_i (per-qubit directions) to a pure state or density matrix."""
-    n = state.num_qubits
     ops = [0.5 * np.einsum("a,aij->ij", d, PAULIS) for d in directions]
-    if isinstance(state, PureState):
-        out = np.zeros_like(state.amplitudes)
-        for q, op in enumerate(ops, start=1):
-            out = out + _apply_pure(state.amplitudes, n, q, op)
-        return out
-    out = np.zeros_like(state.matrix)
-    for q, op in enumerate(ops, start=1):
-        out = out + _apply_density_left(state.matrix, n, q, op)
+    array = state.amplitudes if isinstance(state, PureState) else state.matrix
+    out = np.zeros_like(array)
+    for axis, op in enumerate(ops):
+        out = out + _apply_on_axis(array, axis, op)
     return out
 
 
@@ -229,11 +221,10 @@ def collective_moment(state, frames):
 
 def _second_moment(state, directions, applied):
     """Re Tr(J_dir @ applied) where applied = J_other @ rho."""
-    n = state.num_qubits
     ops = [0.5 * np.einsum("a,aij->ij", d, PAULIS) for d in directions]
     total = 0.0
-    for q, op in enumerate(ops, start=1):
-        total += np.trace(_apply_density_left(applied, n, q, op)).real
+    for axis, op in enumerate(ops):
+        total += np.trace(_apply_on_axis(applied, axis, op)).real
     return total
 
 

@@ -45,7 +45,7 @@ from spinsqueeze import (
     xi_tilde_symmetric,
 )
 from spinsqueeze.entanglement import _aligned_perp_eigenvalues
-from spinsqueeze.operators import SIGMA_X, LocalUnitary, alignment_rotation_matrix
+from spinsqueeze.operators import IDENTITY2, SIGMA_X, LocalUnitary, alignment_rotation_matrix
 from spinsqueeze.sampling import (
     haar_pure_state,
     pure_state_with_nonzero_bloch,
@@ -146,7 +146,7 @@ def test_criterion_06a_xi1_non_invariance_demo():
     theta = math.pi / 8
     psi = PureState(2, np.array([0, math.cos(theta), math.sin(theta), 0]))
     before = xi_standard(psi)
-    after = xi_standard(apply_local_unitaries(psi, LocalUnitary.single(2, 2, SIGMA_X)))
+    after = xi_standard(apply_local_unitaries(psi, LocalUnitary((IDENTITY2, SIGMA_X))))
     ok = (before.xi1 is None and after.xi1 is not None
           and abs(after.xi1 - 0.541196100146197) < 1e-9)
     _report("6a", ok, "xi1 undefined -> 0.541196 under a one-qubit flip")

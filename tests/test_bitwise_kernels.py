@@ -108,8 +108,7 @@ def test_bloch_vectors_apply_no_pauli_matrix(monkeypatch):
     def refuse(*args):
         raise AssertionError("a Pauli matrix was applied to the state")
 
-    monkeypatch.setattr(operators, "_apply_pure", refuse)
-    monkeypatch.setattr(operators, "_apply_density_left", refuse)
+    monkeypatch.setattr(operators, "_apply_on_axis", refuse)
     rng = np.random.default_rng(1803)
     bloch_vectors(haar_pure_state(5, rng))
     bloch_vectors(random_separable_state(4, 2, 1803))

@@ -234,6 +234,46 @@ def test_analyze_refuses_files_just_outside_the_reader_tolerances(tmp_path, caps
             assert re.fullmatch(message, capsys.readouterr().err), (name, fmt)
 
 
+def _mixture_document(n, terms):
+    # terms: (weight, diagonal of every factor) pairs
+    def factor(diagonal):
+        return [[[diagonal[r] if r == c else 0.0, 0.0] for c in range(2)] for r in range(2)]
+
+    return {"format_version": "1", "kind": "mixture", "num_qubits": n,
+            "terms": [{"weight": w, "factors": [factor(d)] * n} for w, d in terms]}
+
+
+def test_analyze_mixes_weights_inside_the_reader_tolerance(tmp_path, capsys):
+    # -5e-10 and 1 + 5e-10 sum to 1 and each is within 1e-9 of [0, 1]; the
+    # negative weight is mixed as 0, so the file reads as the weights (0, 1)
+    documents = {
+        "tolerated": _mixture_document(1, [(-5e-10, (1.0, 0.0)), (1 + 5e-10, (0.0, 1.0))]),
+        "exact": _mixture_document(1, [(0.0, (1.0, 0.0)), (1.0, (0.0, 1.0))]),
+    }
+    reports = {}
+    for name, document in documents.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(document))
+        assert run_cli("analyze", str(path)) == 0, name
+        out, err = capsys.readouterr()
+        assert err == ""
+        reports[name] = [line for line in out.split("\n")
+                         if not line.startswith(("input:", "sha256:"))]
+    assert reports["tolerated"] == reports["exact"]
+
+
+def test_analyze_names_the_mix_when_factors_inside_the_tolerance_mix_outside(tmp_path, capsys):
+    # each factor diag(1 + 1e-10, -1e-10) has its eigenvalue at the -1e-10
+    # bound, and their product's -(1 + 1e-10) 1e-10 is past it
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps(_mixture_document(2, [(1, (1 + 1e-10, -1e-10))])))
+    for fmt in ("text", "machine"):
+        assert run_cli("analyze", str(path), "--format", fmt) == 2, fmt
+        assert capsys.readouterr().err == (
+            "error: the mix of the mixture terms is not a density matrix: "
+            "matrix has an eigenvalue below the positivity tolerance\n")
+
+
 def test_analyze_rejects_ragged_matrix_rows(tmp_path, capsys):
     files = {
         "matrix": '{"format_version": "1", "kind": "density", "num_qubits": 1, '
@@ -568,9 +608,9 @@ def test_verify_invariance_reports_gauge_dependence(tmp_path, capsys):
     assert "xi_tilde invariant (two-qubit pure)" in out
     m = re.search(r"replay file: (\S+)", out)
     assert m is not None
-    from spinsqueeze.statefile import load_state
+    from spinsqueeze.statefile import document_to_state, load_document
 
-    load_state(m.group(1))  # replay file parses and validates
+    document_to_state(load_document(m.group(1))[0])  # replay file parses and validates
 
 
 def test_verify_oracle_reports_search_gap(tmp_path, capsys):

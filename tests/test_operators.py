@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from spinsqueeze import (
     Direction,
     Frame,
     LocalUnitary,
+    MixtureTerm,
     PureState,
     ValidationError,
     apply_local_unitaries,
@@ -18,11 +20,12 @@ from spinsqueeze import (
     coherent_spin_state,
     complete_frame,
     embed_symmetric,
+    mix,
     product_state,
     total_spin_expectation,
     unit,
 )
-from spinsqueeze.operators import SIGMA_X, dicke_collective_operators
+from spinsqueeze.operators import IDENTITY2, SIGMA_X, dicke_collective_operators
 from spinsqueeze.sampling import haar_pure_state, haar_unitary_2, random_local_unitary
 
 from conftest import bell_state, schmidt_state
@@ -45,22 +48,22 @@ def test_frame_requires_right_handed_triad():
 def test_apply_sigma_x_flips_second_qubit():
     theta = 0.7
     psi = PureState(2, np.array([0, math.cos(theta), math.sin(theta), 0]))
-    u = LocalUnitary.single(2, 2, SIGMA_X)
+    u = LocalUnitary((IDENTITY2, SIGMA_X))
     out = apply_local_unitaries(psi, u)
     assert np.allclose(out.amplitudes, [math.cos(theta), 0, 0, math.sin(theta)], atol=1e-14)
 
 
 def test_apply_identity_is_noop(rng):
     state = haar_pure_state(3, rng)
-    out = apply_local_unitaries(state, LocalUnitary.identity(3))
+    out = apply_local_unitaries(state, LocalUnitary((IDENTITY2,) * 3))
     assert np.allclose(out.amplitudes, state.amplitudes)
 
 
 def test_apply_then_undo(rng):
     state = haar_pure_state(3, rng)
     u = haar_unitary_2(rng)
-    forward = apply_local_unitaries(state, LocalUnitary.single(3, 1, u))
-    back = apply_local_unitaries(forward, LocalUnitary.single(3, 1, u.conj().T))
+    forward = apply_local_unitaries(state, LocalUnitary((u, IDENTITY2, IDENTITY2)))
+    back = apply_local_unitaries(forward, LocalUnitary((u.conj().T, IDENTITY2, IDENTITY2)))
     assert np.allclose(back.amplitudes, state.amplitudes, atol=1e-12)
 
 
@@ -73,9 +76,34 @@ def test_apply_to_density_matrix_matches_pure_path(rng):
     assert np.allclose(rho_out, np.outer(psi_out, psi_out.conj()), atol=1e-12)
 
 
+def _separable_density(n, rng):
+    """A mix of products of Haar qubit states (random_separable_state needs N >= 2)."""
+    def qubit():
+        v = haar_pure_state(1, rng).amplitudes
+        return np.outer(v, v.conj())
+
+    weights = rng.dirichlet(np.ones(3))
+    return mix([MixtureTerm(w, tuple(qubit() for _ in range(n))) for w in weights])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_apply_matches_the_dense_kronecker_product(n):
+    # qubit 1 is the most significant bit, so U = U_1 x U_2 x ... x U_N
+    rng = np.random.default_rng(2000 + n)
+    for _ in range(4):
+        lu = random_local_unitary(n, rng)
+        u = functools.reduce(np.kron, lu.per_qubit)
+        psi = haar_pure_state(n, rng)
+        out = apply_local_unitaries(psi, lu).amplitudes
+        assert np.max(np.abs(out - u @ psi.amplitudes)) <= 1e-12
+        rho = _separable_density(n, rng)
+        out = apply_local_unitaries(rho, lu).matrix
+        assert np.max(np.abs(out - u @ rho.matrix @ u.conj().T)) <= 1e-12
+
+
 def test_apply_rejects_wrong_length(rng):
     with pytest.raises(ValidationError):
-        apply_local_unitaries(haar_pure_state(3, rng), LocalUnitary.identity(2))
+        apply_local_unitaries(haar_pure_state(3, rng), LocalUnitary((IDENTITY2,) * 2))
 
 
 def test_su2_to_so3_identity():

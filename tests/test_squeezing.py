@@ -25,7 +25,7 @@ from spinsqueeze import (
     xi_tilde_general,
     xi_tilde_symmetric,
 )
-from spinsqueeze.operators import SIGMA_X, LocalUnitary, complete_frame
+from spinsqueeze.operators import IDENTITY2, SIGMA_X, LocalUnitary, complete_frame
 from spinsqueeze.sampling import (
     haar_pure_state,
     pure_state_with_nonzero_bloch,
@@ -206,7 +206,7 @@ def test_xi1_is_not_locally_invariant():
     theta = math.pi / 8
     psi = PureState(2, np.array([0, math.cos(theta), math.sin(theta), 0]))
     assert xi_standard(psi).xi1 is None
-    flipped = apply_local_unitaries(psi, LocalUnitary.single(2, 2, SIGMA_X))
+    flipped = apply_local_unitaries(psi, LocalUnitary((IDENTITY2, SIGMA_X)))
     assert xi_standard(flipped).xi1 == pytest.approx(
         math.sqrt(1 - math.sin(2 * theta)), abs=1e-12)
 

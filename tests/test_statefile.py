@@ -17,7 +17,7 @@ from spinsqueeze import (
 from spinsqueeze.statefile import (
     document_to_state,
     dumps,
-    load_state,
+    load_document,
     realize,
     render_json,
     save_state,
@@ -49,7 +49,7 @@ def test_negative_zero_survives_a_file_round_trip(tmp_path):
     path = tmp_path / "zeros.json"
     save_state(str(path), state)
     assert path.read_text().endswith('"amplitudes":[[1,-0],[-0,0]]}\n')
-    loaded = load_state(str(path))
+    loaded = document_to_state(load_document(str(path))[0])
     assert np.signbit(loaded.amplitudes.imag[0]) and np.signbit(loaded.amplitudes.real[1])
     assert roundtrip_text(loaded) == path.read_text()
 
@@ -57,7 +57,7 @@ def test_negative_zero_survives_a_file_round_trip(tmp_path):
 def test_save_and_load(tmp_path):
     path = tmp_path / "state.json"
     save_state(path, bell_state())
-    loaded = load_state(path)
+    loaded = document_to_state(load_document(path)[0])
     assert isinstance(loaded, PureState)
     assert np.allclose(loaded.amplitudes, bell_state().amplitudes)
 
