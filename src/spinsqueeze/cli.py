@@ -19,7 +19,7 @@ from .reductions import is_exchange_symmetric
 from .squeezing import xi_standard
 from .statefile import (
     document_to_state,
-    dumps,
+    file_slices,
     load_document,
     realize,
     render_json,
@@ -89,12 +89,12 @@ def build_parser():
     return parser
 
 
-def _write_text(path, text):
+def _write_text(path, slices):
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(slices)
     else:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(slices)
 
 
 def _require(condition, message):
@@ -165,20 +165,20 @@ def _cmd_generate(args):
         _require(args.terms <= GENERATE_MAX_TERMS,
                  f"--terms must be at most {GENERATE_MAX_TERMS}, got {args.terms}")
         state = random_separable_terms(args.n, args.terms, args.seed)
-    text = dumps(state_to_document(state))
-    _write_text(args.output, text)
+    _write_text(args.output, file_slices(state_to_document(state)))
     return 0
 
 
 def _cmd_analyze(args):
-    document, raw = load_document(args.input)
-    state = realize(document_to_state(document))
-    report = analyze_state(state, source_path=args.input, source_bytes=raw,
-                           input_kind=document.get("kind"))
+    document, digest = load_document(args.input)
+    parsed, kind = document_to_state(document), document["kind"]
+    del document  # the parsed lists go before the analysis starts
+    report = analyze_state(realize(parsed), source_path=args.input, source_sha256=digest,
+                           input_kind=kind)
     if args.format == "machine":
-        _write_text(args.output, render_json(report) + "\n")
+        _write_text(args.output, [render_json(report) + "\n"])
     else:
-        _write_text(args.output, render_text(report))
+        _write_text(args.output, [render_text(report)])
     return 0
 
 
@@ -220,8 +220,7 @@ def _cmd_sweep(args):
                      tilde.xi2_tilde, conc, inv])
     lines = ["parameter,xi1,xi2,xi1_tilde,xi2_tilde,concurrence,invariant_i"]
     lines += [",".join(_fmt_cell(cell) for cell in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    _write_text(args.output, text)
+    _write_text(args.output, ["\n".join(lines) + "\n"])
     return 0
 
 

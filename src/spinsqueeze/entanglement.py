@@ -74,13 +74,17 @@ def _two_qubit_amplitudes(state):
 
 
 def schmidt(state):
-    """Schmidt coefficients from lambda_{1,2}^2 = (1 +- sqrt(1 - 4|bc - ad|^2)) / 2."""
-    a, b, c, d = _two_qubit_amplitudes(state)
-    det = abs(b * c - a * d) ** 2
-    disc = math.sqrt(max(0.0, 1.0 - 4.0 * det))
-    l1 = math.sqrt((1.0 + disc) / 2.0)
-    l2 = math.sqrt(max(0.0, (1.0 - disc) / 2.0))
-    return SchmidtPair(l1, l2)
+    """Schmidt coefficients: the singular values of [[a, b], [c, d]] over the state's norm.
+
+    With ad - bc made real and non-negative by a global phase, their sum and
+    difference are hypot(|a +- conj(d)|, |b -+ conj(c)|), free of cancellation.
+    """
+    a, b, c, d = amplitudes = _two_qubit_amplitudes(state)
+    a, b, c, d = amplitudes * np.exp(-0.5j * np.angle(a * d - b * c))
+    total = math.hypot(abs(a + d.conjugate()), abs(b - c.conjugate()))
+    gap = math.hypot(abs(a - d.conjugate()), abs(b + c.conjugate()))
+    twice_norm = 2.0 * float(np.linalg.norm(amplitudes))
+    return SchmidtPair((total + gap) / twice_norm, max(0.0, (total - gap) / twice_norm))
 
 
 def concurrence_pure(state):

@@ -1,7 +1,6 @@
 """Full analysis reports: every parameter, witness verdicts, and diagnostics."""
 
 import datetime
-import hashlib
 from itertools import combinations
 
 from ._version import __version__
@@ -43,20 +42,20 @@ def _state_kind(state):
     return kind
 
 
-def analyze_state(state, source_path=None, source_bytes=None, input_kind=None):
+def analyze_state(state, source_path=None, source_sha256=None, input_kind=None):
     """Assemble the full report document for one state.
 
+    source_sha256 is the hex digest of the file's bytes that load_document gives.
     The report is deterministic apart from the generated_at timestamp.
     """
     n = state.num_qubits
-    digest = hashlib.sha256(source_bytes).hexdigest() if source_bytes is not None else None
 
     report = {
         "tool": {"name": "spinsqueeze", "version": __version__},
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "input": {
             "path": source_path,
-            "sha256": digest,
+            "sha256": source_sha256,
             "kind": input_kind or _state_kind(state),
             "num_qubits": n,
         },

@@ -15,7 +15,9 @@ Floats are written with 17 significant digits so serialize -> parse ->
 serialize is byte-identical at double precision.
 """
 
+import hashlib
 import json
+import math
 from itertools import chain
 
 import numpy as np
@@ -54,43 +56,67 @@ class _HugeInt:
 # loads gives exactly int, float or _HugeInt for a number; the types are compared
 # exactly because JSON true and false load as bool, a subclass of int.
 JSON_NUMBER_TYPES = frozenset({int, float, _HugeInt})
+RENDER_SLICE = 128  # complex vector entries or matrix rows formatted per text slice
 
 
-def _fmt_float(x):
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValidationError("cannot serialize non-finite numbers")
-    return format(float(x), ".17g")
+def _array_slices(arr):
+    """A complex vector as [[re,im],...], or a matrix as rows of those, one % format a slice."""
+    unit = "[%.17g,%.17g]"
+    if arr.ndim == 2:
+        unit = "[" + ",".join([unit] * arr.shape[1]) + "]"
+    for start in range(0, max(len(arr), 1), RENDER_SLICE):
+        part = np.ascontiguousarray(arr[start:start + RENDER_SLICE])
+        yield ("," if start else "[") + ",".join([unit] * len(part)) % tuple(
+            part.view(float).ravel().tolist())
+    yield "]"
 
 
-def _render_complex_array(arr):
-    """A complex vector as [[re,im],...], or a matrix as rows of those, in one % format."""
-    if not np.isfinite(arr).all():
-        raise ValidationError("cannot serialize non-finite numbers")
-    row = "[" + ",".join(["[%.17g,%.17g]"] * arr.shape[-1]) + "]"
-    template = row if arr.ndim == 1 else "[" + ",".join([row] * arr.shape[0]) + "]"
-    return template % tuple(np.ascontiguousarray(arr).view(float).ravel().tolist())
+def _render_parts(obj, parts):
+    """Append obj's JSON text to parts, with each complex array, checked finite, in its place."""
+    if isinstance(obj, np.ndarray) and np.iscomplexobj(obj) and obj.ndim in (1, 2):
+        if not np.isfinite(obj).all():
+            raise ValidationError("cannot serialize non-finite numbers")
+        parts.append(obj)
+    elif isinstance(obj, dict):
+        parts.append("{")
+        for idx, (key, value) in enumerate(obj.items()):
+            parts.append(("," if idx else "") + json.dumps(key) + ":")
+            _render_parts(value, parts)
+        parts.append("}")
+    elif isinstance(obj, (list, tuple)):
+        parts.append("[")
+        for idx, value in enumerate(obj):
+            if idx:
+                parts.append(",")
+            _render_parts(value, parts)
+        parts.append("]")
+    elif obj is None:
+        parts.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        parts.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        parts.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValidationError("cannot serialize non-finite numbers")
+        parts.append(format(float(obj), ".17g"))
+    elif isinstance(obj, str):
+        parts.append(json.dumps(obj))
+    else:
+        raise ValidationError(f"cannot serialize {type(obj).__name__}")
+
+
+def _render_slices(obj):
+    """obj's JSON text in slices: every value is checked first, each array formatted when read."""
+    parts = []
+    _render_parts(obj, parts)
+    return chain.from_iterable(
+        (part,) if isinstance(part, str) else _array_slices(part) for part in parts)
 
 
 def render_json(obj):
     """Deterministic JSON rendering with 17-significant-digit floats."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, np.ndarray) and np.iscomplexobj(obj) and obj.ndim in (1, 2):
-        return _render_complex_array(obj)
-    if isinstance(obj, dict):
-        inner = ",".join(f"{json.dumps(k)}:{render_json(v)}" for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(render_json(v) for v in obj) + "]"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise ValidationError(f"cannot serialize {type(obj).__name__}")
+    return "".join(_render_slices(obj))
 
 
 def state_kind(state):
@@ -128,8 +154,13 @@ def state_to_document(state):
     raise ValidationError(f"cannot serialize {type(state).__name__} as a state file")
 
 
+def file_slices(document):
+    """A state file's text, the document's JSON and a newline, in slices; checked on the call."""
+    return chain(_render_slices(document), ("\n",))
+
+
 def dumps(document):
-    return render_json(document) + "\n"
+    return "".join(file_slices(document))
 
 
 def _parse_int(text):
@@ -245,20 +276,23 @@ def realize(parsed):
 
 
 def save_state(path, state):
-    text = dumps(state_to_document(state))
+    slices = file_slices(state_to_document(state))  # checked before the file is opened
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(slices)
 
 
 def load_document(path):
-    """(parsed JSON document, raw bytes) of a state file, read once."""
+    """(parsed JSON document, sha256 hex digest of its bytes) of a state file, read once."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path!r}: {exc}") from exc
+    digest = hashlib.sha256(raw).hexdigest()
     try:
-        return loads(raw.decode("utf-8")), raw
+        text = raw.decode("utf-8")
+        del raw  # the parse holds only the text and its lists
+        return loads(text), digest
     except UnicodeDecodeError as exc:
         raise ValidationError(f"state file is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:

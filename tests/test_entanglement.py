@@ -24,6 +24,7 @@ from spinsqueeze import (
 )
 from spinsqueeze.sampling import (
     haar_pure_state,
+    haar_unitary_2,
     random_symmetric_mixture,
     symmetric_state_with_nonzero_bloch,
 )
@@ -31,12 +32,27 @@ from spinsqueeze.sampling import (
 from conftest import bell_state, schmidt_state
 
 
+EPS = np.finfo(float).eps
+
+
 def test_schmidt_bell_state():
-    # the discriminant formula has a square-root singularity at the
-    # degenerate point, so only sqrt(eps) accuracy is available there
     pair = schmidt(bell_state())
-    assert pair.lambda1 == pytest.approx(1 / math.sqrt(2), abs=1e-7)
-    assert pair.lambda2 == pytest.approx(1 / math.sqrt(2), abs=1e-7)
+    assert pair.lambda1 == pytest.approx(1 / math.sqrt(2), abs=4 * EPS)
+    assert pair.lambda2 == pytest.approx(1 / math.sqrt(2), abs=4 * EPS)
+
+
+def test_schmidt_is_exact_near_degenerate_spectra():
+    # Schmidt weights 1/2 +- e under random local unitaries: the old discriminant
+    # form sqrt(1 - 4|ad - bc|^2) lost about 1e-8 here, next to a Bell state
+    rng = np.random.default_rng(2024)
+    for i in range(2000):
+        e = rng.uniform(0.0, 1e-3) if i % 4 else (0.0, 1e-16, 1e-12, 1e-8)[i // 4 % 4]
+        weights = np.diag(np.sqrt([0.5 + e, 0.5 - e]))
+        state = PureState(2, (haar_unitary_2(rng) @ weights @ haar_unitary_2(rng).T).ravel())
+        svals = np.linalg.svd(state.amplitudes.reshape(2, 2), compute_uv=False)
+        pair = schmidt(state)
+        assert abs(pair.lambda1 - svals[0]) <= 4 * EPS
+        assert abs(pair.lambda2 - svals[1]) <= 4 * EPS
 
 
 def test_schmidt_product_state():

@@ -7,20 +7,30 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spinsqueeze import ValidationError
 from spinsqueeze.statefile import (
+    RENDER_SLICE,
     _parse_complex_matrix,
     _parse_complex_vector,
     document_to_state,
     dumps,
     loads,
     realize,
+    render_json,
+    save_state,
     state_to_document,
 )
 from spinsqueeze.states import DensityMatrix, MixtureTerm, PureState, SymmetricState
 
-from oracles import list_state_document, parse_complex_matrix, parse_complex_vector
+from oracles import (
+    complex_pair_list,
+    complex_rows,
+    list_state_document,
+    parse_complex_matrix,
+    parse_complex_vector,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -81,6 +91,32 @@ def test_serialize_parse_serialize_is_byte_identical(state):
     text = dumps(state_to_document(state))
     assert dumps(state_to_document(document_to_state(loads(text)))) == text
     assert dumps(list_state_document(state)) == text
+
+
+@PROPERTY_SETTINGS
+@given(state=st.one_of(pure_states(), symmetric_states(), density_matrices(), mixtures()))
+def test_saved_files_are_the_dumps_text(tmp_path_factory, state):
+    path = tmp_path_factory.mktemp("saved") / "state.json"
+    save_state(path, state)
+    assert path.read_text() == dumps(state_to_document(state))
+
+
+@st.composite
+def _slice_boundary_arrays(draw):
+    """Complex vectors and matrices of a slice's length, one less or one more, any finite parts."""
+    rows = draw(st.sampled_from([RENDER_SLICE - 1, RENDER_SLICE, RENDER_SLICE + 1]))
+    shape = draw(st.sampled_from([(rows, 2), (rows, 2, 2)]))
+    parts = st.floats(allow_nan=False, allow_infinity=False)  # -0.0, subnormals, +-1.8e308
+    return draw(arrays(float, shape, elements=parts)).view(complex)[..., 0]
+
+
+@PROPERTY_SETTINGS
+@given(_slice_boundary_arrays())
+def test_sliced_arrays_render_as_their_float_lists(array):
+    lists = (complex_rows(array) if array.ndim == 2
+             else [complex_pair_list(z) for z in array])
+    assert render_json(array) == render_json(lists)
+    assert dumps({"a": array}) == dumps({"a": lists})
 
 
 def _number_slots(doc):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,15 @@ from spinsqueeze import (
     SymmetricState,
     ValidationError,
     analyze_state,
+    cli,
     coherent_spin_state,
+    dicke_state,
     random_separable_terms,
 )
+from spinsqueeze.sampling import haar_pure_state
 from spinsqueeze.statefile import (
+    RENDER_SLICE,
+    _render_slices,
     document_to_state,
     dumps,
     load_document,
@@ -162,3 +168,119 @@ def test_non_finite_array_entries_cannot_be_serialized(bad):
         for doc in (vector, matrix, {"amplitudes": vector}, {"terms": [{"factors": [matrix]}]}):
             with pytest.raises(ValidationError, match="cannot serialize non-finite numbers"):
                 dumps(doc)
+
+
+EXTREMES = (complex(-0.0, TINY), complex(1e308, -1e308), complex(-TINY, -0.0))
+BOUNDARY_LENGTHS = (RENDER_SLICE - 1, RENDER_SLICE, RENDER_SLICE + 1)
+
+
+def _unit_vector_with_extremes(length, rng):
+    """A unit complex vector that starts with -0.0 parts and subnormals."""
+    planted = [complex(-0.0, TINY), complex(-TINY, -0.0), complex(-0.0, -0.0)]
+    rest = rng.normal(size=length - len(planted)) + 1j * rng.normal(size=length - len(planted))
+    return np.concatenate([planted, rest / np.linalg.norm(rest)])
+
+
+def test_saved_files_equal_dumps_at_the_slice_boundaries(tmp_path, rng, capsys):
+    symmetric = [SymmetricState(length - 1, _unit_vector_with_extremes(length, rng))
+                 for length in BOUNDARY_LENGTHS]
+    pure = PureState(7, _unit_vector_with_extremes(2**7, rng))
+    dense = DensityMatrix(3, np.diag([complex(0.5, -0.0), 0.5, -0.0, TINY, 0, 0, 0, 0]))
+    mixture = [MixtureTerm(0.25, (np.array([[1.0, -0.0], [-0.0, TINY]]), np.eye(2) / 2)),
+               MixtureTerm(0.75, (np.eye(2) / 2, np.diag([-0.0, 1.0])))]
+    path = tmp_path / "state.json"
+    for state in (*symmetric, pure, dense, mixture, random_separable_terms(3, 4, seed=5)):
+        save_state(path, state)
+        expected = dumps(state_to_document(state))
+        assert path.read_text() == expected == dumps(list_state_document(state))
+    for n in (RENDER_SLICE, 2 * RENDER_SLICE + 1):
+        expected = dumps(state_to_document(dicke_state(n, 3)))
+        assert cli.main(["generate", "dicke", "--n", str(n), "--k", "3",
+                         "--output", str(path)]) == 0
+        assert cli.main(["generate", "dicke", "--n", str(n), "--k", "3"]) == 0
+        assert path.read_text() == capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("length", BOUNDARY_LENGTHS)
+def test_arrays_render_in_slices_at_the_slice_boundaries(length, rng):
+    vector = rng.normal(size=length) + 1j * rng.normal(size=length)
+    vector[:3] = EXTREMES
+    matrix = np.stack([vector, vector[::-1], -vector], axis=1)  # length rows, not contiguous
+    for array, lists in ((vector, [complex_pair_list(z) for z in vector]),
+                         (matrix, complex_rows(matrix))):
+        slices = list(_render_slices(array))
+        assert len(slices) == -(-length // RENDER_SLICE) + 1  # the entries or rows, then "]"
+        assert "".join(slices) == render_json(lists)
+        assert dumps({"a": array}) == dumps({"a": lists})
+
+
+def _unvalidated_pure_state(amplitudes):
+    state = object.__new__(PureState)
+    object.__setattr__(state, "num_qubits", 1)
+    object.__setattr__(state, "amplitudes", amplitudes)
+    return state
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_refused_document_leaves_no_file(bad, tmp_path, monkeypatch, capsys):
+    amplitudes = np.full(2 * RENDER_SLICE + 1, 0.5 + 0j)
+    amplitudes[-1] = bad  # in the last slice
+    state = _unvalidated_pure_state(amplitudes)
+    path = tmp_path / "refused.json"
+    with pytest.raises(ValidationError, match="cannot serialize non-finite numbers"):
+        save_state(path, state)
+    assert not path.exists()
+    monkeypatch.setattr(cli, "coherent_spin_state", lambda *args: state)
+    assert cli.main(["generate", "css", "--n", "1", "--output", str(path)]) == 2
+    assert cli.main(["generate", "css", "--n", "1"]) == 2
+    assert not path.exists()
+    assert capsys.readouterr() == ("", "error: cannot serialize non-finite numbers\n" * 2)
+
+
+def test_an_unwritable_output_exits_2_with_one_error_line(tmp_path, capsys):
+    n = str(2 * RENDER_SLICE)
+    assert cli.main(["generate", "dicke", "--n", n, "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {str(tmp_path)!r}: ") and err.count("\n") == 1
+
+
+def test_generate_holds_one_slice_of_text_at_a_time(tmp_path):
+    qubits = [arg for q in range(14) for arg in ("--qubit", f"{0.3 + 0.1 * q},{0.2 * q}")]
+    argv = ["generate", "product", *qubits, "--output", str(tmp_path / "product14.json")]
+    assert cli.main(argv) == 0  # caches filled, as in the traced call
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the amplitudes and np.kron's last product; the file's text alone is 3.0 arrays
+    assert peak < 3 * 16 * 2**14
+
+
+class _Entered(Exception):
+    pass
+
+
+def test_analysis_starts_with_the_file_bytes_and_document_released(tmp_path, monkeypatch):
+    path = tmp_path / "haar14.json"
+    save_state(path, haar_pure_state(14, np.random.default_rng(14)))
+    entered = []
+
+    def stop_at_entry(state, **kwargs):
+        entered.append(tracemalloc.get_traced_memory()[0])
+        raise _Entered
+
+    monkeypatch.setattr(cli, "analyze_state", stop_at_entry)
+    with pytest.raises(_Entered):
+        cli.main(["analyze", str(path)])  # caches filled, as in the traced call
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(_Entered):
+            cli.main(["analyze", str(path)])
+    finally:
+        tracemalloc.stop()
+    # the amplitudes; the file's bytes alone are 2.9 arrays, its parsed lists about 9
+    assert entered[-1] - base <= 2 * 16 * 2**14

@@ -13,6 +13,11 @@ every file in the directory afterwards (the inputs, written state files
 and replay files).  Machine reports are compared without their
 ``generated_at`` field.  Prints each difference and exits 1 if there is
 any, else 0.
+
+Each command also runs under ``tracemalloc``, and its traced peak (the
+most memory allocated during the command and not yet freed, its captured
+stdout included) is printed for both checkouts.  It is not compared and
+does not change the exit code.
 """
 
 import argparse
@@ -26,6 +31,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 GENERATED_AT = re.compile(r'"generated_at":"[^"]*",')
 
@@ -46,14 +52,17 @@ def run_child(checkout, workload_name, variant, directory):
     results = []
     for command in workload.commands(directory, params):
         out, err = io.StringIO(), io.StringIO()
+        tracemalloc.start()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(command.argv)
             except SystemExit as exc:  # argparse usage errors
                 code = exc.code
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
         results.append({"label": command.label, "exit": code,
                         "stdout": GENERATED_AT.sub("", out.getvalue()),
-                        "stderr": err.getvalue()})
+                        "stderr": err.getvalue(), "peak_bytes": peak})
     files = {}
     for root, _, names in os.walk(directory):
         for name in names:
@@ -123,6 +132,9 @@ def main(argv=None):
                       f"{len(base['files'])} files, {len(found)} differences", flush=True)
                 for line in found:
                     print(f"  {line}")
+                for old, new in zip(base["commands"], changed["commands"]):
+                    print(f"  traced peak {old['peak_bytes'] / 1e6:8.3f} MB -> "
+                          f"{new['peak_bytes'] / 1e6:8.3f} MB  {old['label']}")
     print("identical" if total == 0 else f"{total} differences")
     return 1 if total else 0
 
