@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from spinsqueeze import ValidationError
 from spinsqueeze.statefile import (
+    KERNEL_BATCH,
     RENDER_SLICE,
     _parse_complex_matrix,
     _parse_complex_vector,
@@ -103,8 +104,9 @@ def test_saved_files_are_the_dumps_text(tmp_path_factory, state):
 
 @st.composite
 def _slice_boundary_arrays(draw):
-    """Complex vectors and matrices of a slice's length, one less or one more, any finite parts."""
-    rows = draw(st.sampled_from([RENDER_SLICE - 1, RENDER_SLICE, RENDER_SLICE + 1]))
+    """Complex vectors and matrices at the slice length or a kernel batch, +-1, any finite parts."""
+    rows = draw(st.sampled_from([RENDER_SLICE - 1, RENDER_SLICE, RENDER_SLICE + 1,
+                                 KERNEL_BATCH // 2 - 1, KERNEL_BATCH // 2, KERNEL_BATCH // 2 + 1]))
     shape = draw(st.sampled_from([(rows, 2), (rows, 2, 2)]))
     parts = st.floats(allow_nan=False, allow_infinity=False)  # -0.0, subnormals, +-1.8e308
     return draw(arrays(float, shape, elements=parts)).view(complex)[..., 0]

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,8 +20,12 @@ from spinsqueeze import (
 )
 from spinsqueeze.sampling import haar_pure_state
 from spinsqueeze.statefile import (
+    KERNEL_BATCH,
     RENDER_SLICE,
+    _decimal,
     _render_slices,
+    _scaled,
+    _two_product,
     document_to_state,
     dumps,
     load_document,
@@ -160,6 +165,50 @@ def test_array_rendering_matches_the_float_lists_at_the_extremes():
                                    "[2.2250738585072014e-308,0.33333333333333331]]]")
 
 
+def _kernel_exactness_values():
+    """Doubles where a %.17g renderer can go wrong, with both signs, in a fixed order."""
+    rng = np.random.default_rng(2011)
+    binades = 2.0 ** np.arange(-1074, 1024)
+    mantissas = np.concatenate([[1.0, np.nextafter(2.0, 0)], 1 + rng.random(4)])
+    powers = np.array([float(f"1e{k}") for k in range(-324, 309)])
+    edges = np.array([1e-6, 1e-22, 1e-28, 1e16, 1e17])
+    ties = []  # m 2**-j whose 18 digits m 5**j end in 5: exact 17-digit ties
+    for j in range(2, 26):
+        low, high = -(-10**17 // 5**j), min((10**18 - 1) // 5**j, 2**53 - 1)
+        ties += [math.ldexp(m | 1, -j) for m in rng.integers(low, high, size=100).tolist()]
+    values = np.concatenate([
+        (binades[:, None] * mantissas).ravel(), [2.0**-1074, np.finfo(float).max],
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf),
+        ties, 10.0 ** rng.uniform(-30, 18, size=20000), [0.0]])
+    values = values[values < np.inf]
+    return np.concatenate([values, -values])
+
+
+def test_kernel_formats_every_float_as_percent_17g():
+    values = _kernel_exactness_values()
+    expected = ["%.17g" % v for v in values.tolist()]
+    assert len(values) > RENDER_SLICE  # the kernel's side of the size split
+    text = render_json(values.view(complex))
+    assert text.replace("[", "").replace("]", "").split(",") == expected
+    # the double 1e-14 lies below 10**-14, and its 17 digits round up to it in the kernel
+    assert Fraction(1e-14) < Fraction(1, 10**14) and not _decimal(np.array([1e-14]))[2][0]
+
+
+def test_error_free_products_are_exact():
+    rng = np.random.default_rng(44)
+    a = 10.0 ** rng.uniform(-28, 17, size=500)
+    k = rng.integers(0, 23, size=500)
+    p, e = _two_product(a, k)
+    for a_i, k_i, p_i, e_i in zip(a.tolist(), k.tolist(), p.tolist(), e.tolist()):
+        assert Fraction(p_i) + Fraction(e_i) == Fraction(a_i) * 10**k_i
+    small = 10.0 ** rng.uniform(-28, -6, size=500)  # the two-stage products, near 1e16
+    k = 16 - np.floor(np.log10(small)).astype(np.int64)
+    p, rest, unsure = _scaled(small, k)
+    for a_i, k_i, p_i, r_i in zip(small.tolist(), k.tolist(), p.tolist(), rest.tolist()):
+        assert abs(Fraction(p_i) + Fraction(r_i) - Fraction(a_i) * 10**k_i) < Fraction(1, 2**48)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_array_entries_cannot_be_serialized(bad):
     for part in (complex(bad, 0.0), complex(0.0, bad)):
@@ -171,7 +220,9 @@ def test_non_finite_array_entries_cannot_be_serialized(bad):
 
 
 EXTREMES = (complex(-0.0, TINY), complex(1e308, -1e308), complex(-TINY, -0.0))
-BOUNDARY_LENGTHS = (RENDER_SLICE - 1, RENDER_SLICE, RENDER_SLICE + 1)
+# the slice length and the kernel's size split, then the vector entries of one kernel batch
+BOUNDARY_LENGTHS = (RENDER_SLICE - 1, RENDER_SLICE, RENDER_SLICE + 1,
+                    KERNEL_BATCH // 2 - 1, KERNEL_BATCH // 2, KERNEL_BATCH // 2 + 1)
 
 
 def _unit_vector_with_extremes(length, rng):
@@ -205,9 +256,9 @@ def test_saved_files_equal_dumps_at_the_slice_boundaries(tmp_path, rng, capsys):
 def test_arrays_render_in_slices_at_the_slice_boundaries(length, rng):
     vector = rng.normal(size=length) + 1j * rng.normal(size=length)
     vector[:3] = EXTREMES
-    matrix = np.stack([vector, vector[::-1], -vector], axis=1)  # length rows, not contiguous
-    for array, lists in ((vector, [complex_pair_list(z) for z in vector]),
-                         (matrix, complex_rows(matrix))):
+    matrix = np.stack([vector, vector[::-1], -vector], axis=1)  # length rows
+    for array in (vector, matrix, np.asfortranarray(matrix), matrix[::-1, ::-2]):
+        lists = complex_rows(array) if array.ndim == 2 else [complex_pair_list(z) for z in array]
         slices = list(_render_slices(array))
         assert len(slices) == -(-length // RENDER_SLICE) + 1  # the entries or rows, then "]"
         assert "".join(slices) == render_json(lists)
